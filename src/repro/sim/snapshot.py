@@ -18,7 +18,7 @@ payload::
 
     b"RSNP1\\n"  |  u32 header length  |  header JSON  |  pickle bytes
 
-The header names the schema (``repro.snapshot/1``), the ``repro`` version
+The header names the schema (``repro.snapshot/2``), the ``repro`` version
 that wrote it, the Python major.minor, and the pickle protocol.  Restore
 fails fast with :class:`SnapshotError` on any mismatch of magic, schema,
 or repro version — silently loading a snapshot across a schema change is
@@ -91,7 +91,9 @@ __all__ = [
 ]
 
 MAGIC = b"RSNP1\n"
-SCHEMA = "repro.snapshot/1"
+# /2: ``Vrf`` gained its locals index and ``local_version``, ``MpBgp`` its
+# per-key sync stamps; a /1 image lacks them and is refused.
+SCHEMA = "repro.snapshot/2"
 _PROTOCOL = 4  # stable, supports qualname globals; identical across workers
 _LEN = struct.Struct("<I")
 

@@ -46,6 +46,38 @@ Update fan-out is computed by simulating the reflection graph per
 origin (memoized), so session/update/suppression accounting is exact
 for any topology.  Message and session counts land in ``net.counters``
 for E1/E9e/E15.
+
+Stamped resync
+--------------
+``converge()`` and ``export_delta()`` share one per-key resync, and it
+costs what changed, not the table.  Each ``(pe, vrf)`` key carries two
+stamps from its last sync:
+
+* the *export stamp* — the ``Vrf`` object (compared with ``is``), its
+  ``rd``, ``export_rts``, ``vpn_label``, the PE loopback, the VRF's
+  ``local_version`` and the local route object each advertisement was
+  built from.  A matching stamp skips the key; a version-only miss
+  re-exports just the prefixes the VRF logged as changed whose local
+  route object differs; any other miss
+  rebuilds the key and re-announces its unchanged routes to the import
+  side (a re-created VRF ranks after its PE's other VRFs).
+* the *import stamp* — the ``Vrf`` object, its ``import_rts`` and its
+  ``local_version``.  A miss on the object or the policy re-derives the
+  key's imports in full; a version miss is covered by re-checking the
+  prefixes the key's own export diff moved.
+
+Every other input of a key's imports is a route in the RT index, and
+each change there is pushed to the importers of its prefix (the
+targeted resync).  Skipping unchanged prefixes is exact because the
+winner ranks candidates by (PE position, VRF insertion index): adding or
+deleting a VRF keeps the relative order of the others, so no winner
+moves at a prefix whose candidates did not change.  ``withdraw``,
+``forget_vrf`` and the retraction of a vanished VRF edit the Adj-RIB
+outside a sync, so they drop the stamps of the keys they touch and the
+next ``converge()`` re-advertises exactly as a fresh engine would.  The
+import diff base records the VRF object it describes, so a re-created
+VRF starts from an empty one.  On a fresh engine no key has a stamp, so
+the first ``converge()`` is the full convergence.
 """
 
 from __future__ import annotations
@@ -57,12 +89,14 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.net.address import IPv4Address, Prefix
 from repro.vpn.pe import PeRouter
 from repro.vpn.rd_rt import RouteTarget, VpnPrefix
-from repro.vpn.vrf import Vrf
+from repro.vpn.vrf import Vrf, VrfRoute
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology import Network
 
 __all__ = ["VpnRoute", "BgpResult", "MpBgp"]
+
+Key = tuple[str, str]      # (pe name, vrf name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,13 +202,20 @@ class MpBgp:
             RouteTarget, dict[Prefix, dict[tuple[str, str], VpnRoute]]
         ] = {}
         # What each (pe, vrf) currently has installed from BGP — the diff
-        # base that makes resync idempotent.
-        self._imported: dict[tuple[str, str], dict[Prefix, VpnRoute]] = {}
-        # (pe, vrf) keys that have had at least one import sync; a key
-        # seen for the first time in export_delta gets a one-time
-        # wholesale import sync (BGP route refresh for a new VRF) so it
-        # catches up on NLRI advertised before it existed.
-        self._known: set[tuple[str, str]] = set()
+        # base that makes resync idempotent — with the VRF object it was
+        # installed in (see _installed).
+        self._imported: dict[Key, tuple[Vrf, dict[Prefix, VpnRoute]]] = {}
+        # Stamps of each key's last sync (see "Stamped resync" above).
+        # Export: (vrf, (rd, export_rts, vpn_label, loopback),
+        # local_version, prefix -> local route each advertisement came
+        # from).  Import: (vrf, import_rts, local_version).  A key without
+        # an import stamp gets a wholesale import sync (BGP route refresh
+        # for a new VRF) so it catches up on NLRI advertised before it
+        # existed.
+        self._export_stamp: dict[
+            Key, tuple[Vrf, tuple, int, dict[Prefix, VrfRoute]]
+        ] = {}
+        self._import_stamp: dict[Key, tuple[Vrf, frozenset[RouteTarget], int]] = {}
         self._down: set[str] = set()
         self._sessions_counted = False
         # Per-origin fan-out (receivers, sent, suppressed), memoized until
@@ -313,43 +354,90 @@ class MpBgp:
                 if not by_prefix:
                     del self._rt_index[rt]
 
+    @staticmethod
+    def _export_head(pe: PeRouter, vrf: Vrf) -> tuple:
+        return (vrf.rd, vrf.export_rts, vrf.vpn_label, pe.loopback)
+
+    def _exports_current(self, key: Key, pe: PeRouter, vrf: Vrf) -> bool:
+        stamp = self._export_stamp.get(key)
+        return (
+            stamp is not None
+            and stamp[0] is vrf
+            and stamp[2] == vrf.local_version
+            and stamp[1] == self._export_head(pe, vrf)
+        )
+
     def _sync_exports(
         self,
         pe: PeRouter,
         vrf: Vrf,
         advertised: list[VpnRoute],
         withdrawn: list[VpnRoute],
-    ) -> None:
-        """Diff one VRF's local routes against its Adj-RIB-Out."""
+        kept: list[VpnRoute],
+    ) -> bool:
+        """Diff one VRF's local routes against its Adj-RIB-Out.
+
+        Only the prefixes the VRF logged as changed since the stamp are
+        looked at (every prefix when the log does not reach back that
+        far), and only local routes whose object differs from the one the
+        current advertisement was built from are rebuilt.  Without a
+        usable stamp (none, another VRF object, another export policy)
+        they are all rebuilt, the advertisements that come out unchanged
+        go to ``kept`` — a replaced VRF ranks differently among its PE's
+        VRFs, so its importers must re-pick those prefixes — and False is
+        returned.  Withdrawals come in Adj-RIB order after a full check,
+        in prefix order after a logged one.
+        """
         assert pe.loopback is not None, f"PE {pe.name} needs a loopback"
         key = (pe.name, vrf.name)
-        desired: dict[Prefix, VpnRoute] = {}
-        for prefix, route in sorted(vrf.local_routes().items()):
-            desired[prefix] = VpnRoute(
+        head = self._export_head(pe, vrf)
+        stamp = self._export_stamp.get(key)
+        incremental = stamp is not None and stamp[0] is vrf and stamp[1] == head
+        src = stamp[3] if incremental else {}
+        local = vrf.local_routes()
+        current = self._rib.setdefault(key, {})
+        logged = vrf.local_changes_since(stamp[2]) if incremental else None
+        if logged is None:
+            changed = [p for p, r in local.items() if src.get(p) is not r]
+            gone = [p for p in current if p not in local]
+        else:
+            logged = set(logged)
+            changed = [p for p in logged if p in local and src.get(p) is not local[p]]
+            gone = sorted(p for p in logged if p not in local and p in current)
+        for prefix in sorted(changed):
+            src[prefix] = local_route = local[prefix]
+            route = VpnRoute(
                 key=VpnPrefix(vrf.rd, prefix),
                 prefix=prefix,
                 route_targets=vrf.export_rts,
                 next_hop=pe.loopback,
                 vpn_label=vrf.vpn_label,
                 origin_pe=pe.name,
-                origin_site=route.origin_site,
+                origin_site=local_route.origin_site,
             )
-        current = self._rib.setdefault(key, {})
-        for prefix, route in desired.items():
             old = current.get(prefix)
             if old == route:
+                if not incremental:
+                    kept.append(old)
                 continue
             if old is not None:      # replacement UPDATE: implicit withdraw
                 self._unindex(key, old)
             current[prefix] = route
             self._index(key, route)
             advertised.append(route)
-        for prefix in [p for p in current if p not in desired]:
+        for prefix in gone:
             route = current.pop(prefix)
+            src.pop(prefix, None)
             self._unindex(key, route)
             withdrawn.append(route)
         if not current:
             del self._rib[key]
+        self._export_stamp[key] = (vrf, head, vrf.local_version, src)
+        return incremental
+
+    def _drop_stamps(self, key: Key) -> None:
+        self._export_stamp.pop(key, None)
+        self._import_stamp.pop(key, None)
 
     def _retract_key(self, key: tuple[str, str]) -> list[VpnRoute]:
         """Drop every advertisement for a (pe, vrf) that no longer exists."""
@@ -357,7 +445,7 @@ class MpBgp:
         for route in routes:
             self._unindex(key, route)
         self._imported.pop(key, None)
-        self._known.discard(key)
+        self._drop_stamps(key)
         return routes
 
     # ------------------------------------------------------------------
@@ -403,6 +491,15 @@ class MpBgp:
                 desired[prefix] = winner
         return desired
 
+    def _installed(self, key: Key, vrf: Vrf) -> dict[Prefix, VpnRoute]:
+        """The import diff base of ``key``.  What it recorded for another
+        VRF object (the key's VRF was deleted and re-created under the
+        same name) is void: the new VRF holds none of it."""
+        entry = self._imported.get(key)
+        if entry is None or entry[0] is not vrf:
+            entry = self._imported[key] = (vrf, {})
+        return entry[1]
+
     def _apply_import_changes(
         self,
         vrf: Vrf,
@@ -411,7 +508,7 @@ class MpBgp:
         dels: list[Prefix],
         result: BgpResult,
     ) -> None:
-        current = self._imported.setdefault(key, {})
+        current = self._installed(key, vrf)
         if dels:
             # A del may be a bookkeeping-only drop: a prefix the VRF now
             # holds as a *local* route (locals are preferred over BGP —
@@ -438,11 +535,13 @@ class MpBgp:
         self,
         pe: PeRouter,
         vrf: Vrf,
-        desired: dict[Prefix, VpnRoute],
+        vrf_order: dict[str, dict[str, int]],
         result: BgpResult,
     ) -> None:
+        """Wholesale import sync of one VRF (a route refresh); stamps it."""
         key = (pe.name, vrf.name)
-        current = self._imported.get(key, {})
+        desired = self._desired_imports(pe, vrf, vrf_order)
+        current = self._installed(key, vrf)
         local = vrf.local_routes()
         adds = [
             (p, r) for p, r in desired.items()
@@ -450,53 +549,128 @@ class MpBgp:
         ]
         dels = [p for p in current if p not in desired or p in local]
         self._apply_import_changes(vrf, key, adds, dels, result)
+        self._import_stamp[key] = (vrf, vrf.import_rts, vrf.local_version)
+
+    def _import_stamp_state(self, key: Key, vrf: Vrf) -> str:
+        """``"current"``, ``"version"`` (only the VRF's locals moved since
+        the last import sync) or ``"stale"`` (re-derive in full)."""
+        stamp = self._import_stamp.get(key)
+        if stamp is None or stamp[0] is not vrf or stamp[1] != vrf.import_rts:
+            return "stale"
+        return "current" if stamp[2] == vrf.local_version else "version"
 
     def _resync_imports_for(
-        self, changed: Sequence[VpnRoute], result: BgpResult
+        self,
+        changed: Sequence[VpnRoute],
+        result: BgpResult,
+        own: dict[Key, set[Prefix]] | None = None,
+        skip: frozenset[Key] | set[Key] = frozenset(),
     ) -> None:
         """Targeted import recompute: only VRFs whose import policy
-        intersects the changed routes, only the changed prefixes."""
-        if not changed:
+        intersects the changed routes, only the changed prefixes.
+
+        ``own`` adds, per key, the prefixes its own export diff moved
+        (their local shadowing may have changed); keys in ``skip`` are
+        about to be synced wholesale.
+        """
+        own = own or {}
+        rts = frozenset().union(*{r.route_targets for r in changed})
+        targets = [
+            (pe, vrf) for pe in self.pes if pe.name not in self._down
+            for vrf in pe.vrfs.values()
+            if (pe.name, vrf.name) not in skip
+            and ((pe.name, vrf.name) in own or not vrf.import_rts.isdisjoint(rts))
+        ]
+        if not targets:
             return
         prefixes_by_rt: dict[RouteTarget, set[Prefix]] = {}
         for route in changed:
             for rt in route.route_targets:
                 prefixes_by_rt.setdefault(rt, set()).add(route.prefix)
         vrf_order = self._vrf_order()
-        for pe in self.pes:
-            if pe.name in self._down:
-                continue
-            for vrf in pe.vrfs.values():
-                hit = vrf.import_rts & prefixes_by_rt.keys()
-                if not hit:
+        for pe, vrf in targets:
+            key = (pe.name, vrf.name)
+            prefixes = set(own.get(key, ()))
+            for rt in vrf.import_rts & prefixes_by_rt.keys():
+                prefixes |= prefixes_by_rt[rt]
+            current = self._installed(key, vrf)
+            adds: list[tuple[Prefix, VpnRoute]] = []
+            dels: list[Prefix] = []
+            for prefix in sorted(prefixes):
+                if vrf.kind_of(prefix) == "local":
+                    # Locals are preferred over any import; drop stale
+                    # bookkeeping but leave the VRF entry alone.
+                    if prefix in current:
+                        dels.append(prefix)
                     continue
-                key = (pe.name, vrf.name)
-                current = self._imported.get(key, {})
-                prefixes: set[Prefix] = set()
-                for rt in hit:
-                    prefixes |= prefixes_by_rt[rt]
-                adds: list[tuple[Prefix, VpnRoute]] = []
-                dels: list[Prefix] = []
-                for prefix in sorted(prefixes):
-                    if vrf.kind_of(prefix) == "local":
-                        # Locals are preferred over any import; drop stale
-                        # bookkeeping but leave the VRF entry alone.
-                        if prefix in current:
-                            dels.append(prefix)
-                        continue
-                    candidates: dict[tuple[str, str], VpnRoute] = {}
-                    for rt in vrf.import_rts:
-                        candidates.update(
-                            self._rt_index.get(rt, {}).get(prefix, {})
-                        )
-                    winner = self._pick_winner(pe.name, candidates, vrf_order)
-                    have = current.get(prefix)
-                    if winner is None:
-                        if have is not None:
-                            dels.append(prefix)
-                    elif have != winner:
-                        adds.append((prefix, winner))
-                self._apply_import_changes(vrf, key, adds, dels, result)
+                candidates: dict[tuple[str, str], VpnRoute] = {}
+                for rt in vrf.import_rts:
+                    candidates.update(
+                        self._rt_index.get(rt, {}).get(prefix, {})
+                    )
+                winner = self._pick_winner(pe.name, candidates, vrf_order)
+                have = current.get(prefix)
+                if winner is None:
+                    if have is not None:
+                        dels.append(prefix)
+                elif have != winner:
+                    adds.append((prefix, winner))
+            self._apply_import_changes(vrf, key, adds, dels, result)
+
+    def _resync(
+        self,
+        pairs: Sequence[tuple[PeRouter, Vrf]],
+        result: BgpResult,
+        retract_dead: bool = False,
+    ) -> None:
+        """The one sync path of ``converge()`` and ``export_delta()``.
+
+        Re-exports each pair whose export stamp misses, pushes the moved
+        NLRI to the importers of their prefixes, and re-derives in full
+        only the imports of pairs whose import stamp misses.  With
+        ``retract_dead``, keys whose VRF is gone (``pairs`` is every live
+        key) are retracted too.
+        """
+        advertised: list[VpnRoute] = []
+        withdrawn: list[VpnRoute] = []
+        kept: list[VpnRoute] = []
+        own: dict[Key, set[Prefix]] = {}
+        full: list[tuple[PeRouter, Vrf]] = []
+        for pe, vrf in pairs:
+            key = (pe.name, vrf.name)
+            imports = self._import_stamp_state(key, vrf)
+            if self._exports_current(key, pe, vrf):
+                if imports != "current":
+                    full.append((pe, vrf))
+                continue
+            n_adv, n_wd = len(advertised), len(withdrawn)
+            incremental = self._sync_exports(pe, vrf, advertised, withdrawn, kept)
+            # Only an incremental diff names every prefix whose local
+            # shadowing moved since the last import sync.
+            if imports == "stale" or (imports == "version" and not incremental):
+                full.append((pe, vrf))
+            else:
+                moved = {r.prefix for r in advertised[n_adv:]}
+                moved.update(r.prefix for r in withdrawn[n_wd:])
+                own[key] = moved
+                self._import_stamp[key] = (vrf, vrf.import_rts, vrf.local_version)
+        if retract_dead:
+            live = {(pe.name, vrf.name) for pe, vrf in pairs}
+            stamped = [k for k in self._export_stamp if k not in self._rib]
+            for key in [*self._rib, *stamped]:
+                if key not in live and key[0] not in self._down:
+                    withdrawn.extend(self._retract_key(key))
+        result.exported = advertised
+        result.routes_exported = len(advertised)
+        result.routes_withdrawn = len(withdrawn)
+        self._count_updates(advertised, withdrawn, result)
+
+        skip = {(pe.name, vrf.name) for pe, vrf in full}
+        self._resync_imports_for(advertised + withdrawn + kept, result, own, skip)
+        if full:
+            vrf_order = self._vrf_order()
+            for pe, vrf in full:
+                self._sync_vrf_imports(pe, vrf, vrf_order, result)
 
     # ------------------------------------------------------------------
     # Public operations
@@ -507,39 +681,18 @@ class MpBgp:
         On a fresh engine this is the classic full convergence (and its
         message/state accounting matches :mod:`repro.vpn.reference`
         exactly); re-running it on an unchanged network is a no-op —
-        zero updates, zero installs, VRF generations untouched.
+        zero updates, zero installs, VRF generations untouched.  Only
+        keys whose stamps miss are re-synced (module docstring).
         """
         result = BgpResult(sessions=self.session_count())
         if not self._sessions_counted:
             self.net.counters.incr("bgp.sessions", result.sessions)
             self._sessions_counted = True
-        advertised: list[VpnRoute] = []
-        withdrawn: list[VpnRoute] = []
-        live_keys: set[tuple[str, str]] = set()
-        for pe in self.pes:
-            if pe.name in self._down:
-                continue
-            for vrf in pe.vrfs.values():
-                live_keys.add((pe.name, vrf.name))
-                self._sync_exports(pe, vrf, advertised, withdrawn)
-        self._known |= live_keys
-        for key in [
-            k for k in self._rib if k not in live_keys and k[0] not in self._down
-        ]:
-            withdrawn.extend(self._retract_key(key))
-        result.exported = advertised
-        result.routes_exported = len(advertised)
-        result.routes_withdrawn = len(withdrawn)
-        self._count_updates(advertised, withdrawn, result)
-
-        vrf_order = self._vrf_order()
-        for pe in self.pes:
-            if pe.name in self._down:
-                continue
-            for vrf in pe.vrfs.values():
-                self._sync_vrf_imports(
-                    pe, vrf, self._desired_imports(pe, vrf, vrf_order), result
-                )
+        pairs = [
+            (pe, vrf) for pe in self.pes if pe.name not in self._down
+            for vrf in pe.vrfs.values()
+        ]
+        self._resync(pairs, result, retract_dead=True)
         self.net.counters.incr("bgp.updates", result.updates_sent)
         self.net.counters.incr("bgp.routes_imported", result.routes_imported)
         if result.routes_removed:
@@ -555,22 +708,7 @@ class MpBgp:
         if pe.name in self._down:
             raise ValueError(f"{pe.name} is drained; peer_up() it first")
         result = BgpResult(sessions=self.session_count())
-        advertised: list[VpnRoute] = []
-        withdrawn: list[VpnRoute] = []
-        self._sync_exports(pe, vrf, advertised, withdrawn)
-        result.exported = advertised
-        result.routes_exported = len(advertised)
-        result.routes_withdrawn = len(withdrawn)
-        self._count_updates(advertised, withdrawn, result)
-        self._resync_imports_for(advertised + withdrawn, result)
-        key = (pe.name, vrf.name)
-        if key not in self._known:
-            # First sync for this VRF: route-refresh its imports so it
-            # catches up on NLRI advertised before it existed.
-            self._known.add(key)
-            self._sync_vrf_imports(
-                pe, vrf, self._desired_imports(pe, vrf, self._vrf_order()), result
-            )
+        self._resync([(pe, vrf)], result)
         self._tally(result)
         return result
 
@@ -591,6 +729,8 @@ class MpBgp:
         for key in [k for k in self._rib if k[0] == pe.name]:
             if vrf_name is not None and key[1] != vrf_name:
                 continue
+            # The Adj-RIB now differs from what the stamp says was synced.
+            self._export_stamp.pop(key, None)
             current = self._rib[key]
             doomed = [
                 p for p, r in current.items()
@@ -616,7 +756,7 @@ class MpBgp:
             raise ValueError(f"{key} still has advertisements; withdraw first")
         self._rib.pop(key, None)
         self._imported.pop(key, None)
-        self._known.discard(key)
+        self._drop_stamps(key)
 
     def peer_down(self, pe: PeRouter | str) -> BgpResult:
         """PE maintenance drain: sessions to ``pe`` go down, its routes
@@ -649,7 +789,7 @@ class MpBgp:
         node = self._pe_by_name[name]
         for vrf in node.vrfs.values():
             key = (name, vrf.name)
-            dels = list(self._imported.get(key, {}))
+            dels = list(self._installed(key, vrf))
             self._apply_import_changes(vrf, key, [], dels, result)
         self._tally(result)
         return result
@@ -685,9 +825,7 @@ class MpBgp:
         vrf_order = self._vrf_order()
         node = self._pe_by_name[name]
         for vrf in node.vrfs.values():
-            self._sync_vrf_imports(
-                node, vrf, self._desired_imports(node, vrf, vrf_order), result
-            )
+            self._sync_vrf_imports(node, vrf, vrf_order, result)
         self._tally(result)
         return result
 

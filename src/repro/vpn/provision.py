@@ -109,6 +109,8 @@ class VpnProvisioner:
         # serializes with the network in a simulator snapshot.
         self._next_rd_number = 1
         self._next_site_id = 1
+        # PE name -> (PE, sites it hosts), so pes() does not walk every site.
+        self._site_pes: dict[str, tuple[PeRouter, int]] = {}
         # Persistent MP-BGP engine (created on first converge_bgp); its
         # Adj-RIB is what makes site/VPN churn incremental.  Rebuilt only
         # when the PE set or session topology changes.
@@ -206,6 +208,7 @@ class VpnProvisioner:
                     role=role)
         for h in range(num_hosts):
             site.hosts.append(self._add_host(site, h, host_rate_bps))
+        self._track_site(pe, +1)
         v.sites.append(site)
         self.net.counters.incr("vpn.sites")
         return site
@@ -266,11 +269,19 @@ class VpnProvisioner:
                     role="hub", extra={"pe_up_ifname": pe_up, "ce_up_ifname": ce_up})
         for h in range(num_hosts):
             site.hosts.append(self._add_host(site, h, host_rate_bps))
+        self._track_site(pe, +1)
         v.sites.append(site)
         self.net.counters.incr("vpn.sites")
         return site
 
     # ------------------------------------------------------------------
+    def _track_site(self, pe: PeRouter, delta: int) -> None:
+        count = self._site_pes.get(pe.name, (pe, 0))[1] + delta
+        if count:
+            self._site_pes[pe.name] = (pe, count)
+        else:
+            del self._site_pes[pe.name]
+
     def _pick_prefix(self, v: Vpn, prefix: Prefix | str | None) -> Prefix:
         if prefix is None:
             return v.next_site_prefix()
@@ -312,11 +323,7 @@ class VpnProvisioner:
     # ------------------------------------------------------------------
     def pes(self) -> list[PeRouter]:
         """All PEs hosting at least one site, in name order."""
-        seen: dict[str, PeRouter] = {}
-        for vpn in self.vpns.values():
-            for site in vpn.sites:
-                seen[site.pe.name] = site.pe
-        return [seen[k] for k in sorted(seen)]
+        return [self._site_pes[name][0] for name in sorted(self._site_pes)]
 
     def bgp_engine(
         self,
@@ -391,7 +398,10 @@ class VpnProvisioner:
         decommissioned nodes (no VRF binding ⇒ unreachable from the VPN).
         """
         v = self.vpns[site.vpn_name]
-        if site not in v.sites:
+        # By identity: ``in``/``remove`` would run the generated
+        # ``Site.__eq__`` against every site of the VPN.
+        index = next((i for i, s in enumerate(v.sites) if s is site), None)
+        if index is None:
             raise ValueError(f"site {site.site_id} is not provisioned")
         pe = site.pe
         circuits = [site.pe_ifname]
@@ -399,7 +409,8 @@ class VpnProvisioner:
             circuits.append(site.extra["pe_up_ifname"])
         for ifname in circuits:
             pe.unbind_circuit(ifname)
-        v.sites.remove(site)
+        del v.sites[index]
+        self._track_site(pe, -1)
         self.net.counters.incr("vpn.sites", -1)
         if self._bgp is not None:
             for vrf_name in self._site_vrf_names(v, site):

@@ -19,6 +19,9 @@ from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget
 
 __all__ = ["VrfRoute", "Vrf"]
 
+# Local-route changes a VRF remembers by prefix (see Vrf.local_changes_since).
+LOCAL_LOG = 256
+
 
 @dataclass(frozen=True, slots=True)
 class VrfRoute:
@@ -77,6 +80,16 @@ class Vrf:
         self.vpn_label = vpn_label
         self._fib = Fib()
         self._routes: dict[Prefix, VrfRoute] = {}
+        # The local subset of ``_routes``, kept in step with it so export
+        # and circuit bookkeeping never filter the whole table.
+        self._locals: dict[Prefix, VrfRoute] = {}
+        # Counts changes to the local subset.  MP-BGP stamps each
+        # (PE, VRF) sync with it and skips a VRF whose locals have not
+        # moved since; per instance (and pickled with it), so a VRF
+        # rebuilt from a snapshot keeps counting where it left off.
+        self.local_version = 0
+        # The prefixes of the latest local changes, oldest first.
+        self._local_log: list[Prefix] = []
         # Interfaces (attachment circuits) bound to this VRF on the PE.
         self.circuits: list[str] = []
 
@@ -130,8 +143,11 @@ class Vrf:
         if not items:
             return 0
         batch: list[tuple[Prefix, RouteEntry]] = []
-        routes = self._routes
+        routes, local = self._routes, self._locals
         for prefix, remote_pe, vpn_label, origin_site in items:
+            if local and prefix in local:
+                del local[prefix]
+                self._local_changed(prefix)
             routes[prefix] = VrfRoute(
                 "remote",
                 remote_pe=remote_pe,
@@ -147,22 +163,49 @@ class Vrf:
         Absent prefixes are skipped; returns the number actually removed.
         A batch that removes nothing leaves the generation untouched.
         """
-        doomed = [p for p in prefixes if p in self._routes]
+        routes = self._routes
+        doomed = [p for p in prefixes if p in routes]
         for prefix in doomed:
-            del self._routes[prefix]
+            if routes.pop(prefix).kind == "local":
+                del self._locals[prefix]
+                self._local_changed(prefix)
         return self._fib.withdraw_many(doomed)
 
     def _install(self, prefix: Prefix, route: VrfRoute) -> None:
         self._routes[prefix] = route
+        if route.kind == "local":
+            self._locals[prefix] = route
+            self._local_changed(prefix)
+        elif self._locals.pop(prefix, None) is not None:
+            self._local_changed(prefix)
         # The trie stores a RouteEntry shell; the VrfRoute carries the real
         # decision and is recovered via the prefix.
         self._fib.install(prefix, RouteEntry(route.out_ifname or "", source=route.kind))
+
+    def _local_changed(self, prefix: Prefix) -> None:
+        self.local_version += 1
+        log = self._local_log
+        log.append(prefix)
+        if len(log) > 2 * LOCAL_LOG:
+            del log[:-LOCAL_LOG]
+
+    def local_changes_since(self, version: int) -> list[Prefix] | None:
+        """Prefixes whose local route changed after ``version`` of this
+        VRF (a prefix may repeat), or None when the log no longer reaches
+        back that far."""
+        behind = self.local_version - version
+        log = self._local_log
+        if not 0 <= behind <= len(log):
+            return None
+        return log[len(log) - behind:]
 
     def withdraw(self, prefix: Prefix | str) -> bool:
         pfx = Prefix.parse(prefix) if isinstance(prefix, str) else prefix
         if pfx not in self._routes:
             return False
-        del self._routes[pfx]
+        if self._routes.pop(pfx).kind == "local":
+            del self._locals[pfx]
+            self._local_changed(pfx)
         self._fib.withdraw(pfx)
         return True
 
@@ -194,7 +237,11 @@ class Vrf:
         return dict(self._routes)
 
     def local_routes(self) -> dict[Prefix, VrfRoute]:
-        return {p: r for p, r in self._routes.items() if r.kind == "local"}
+        return dict(self._locals)
+
+    def locals_on(self, ifname: str) -> list[Prefix]:
+        """Prefixes of the local routes learned over circuit ``ifname``."""
+        return [p for p, r in self._locals.items() if r.out_ifname == ifname]
 
     def __len__(self) -> int:
         return len(self._routes)

@@ -12,15 +12,26 @@ Alongside the property suite: RFC 4456 route-reflector cluster
 accounting (sessions, per-route fan-out, cluster-list suppression) and
 the idempotent-reconvergence regression for the old double-import /
 double-count bug.
+
+A second property covers ``converge()`` after mutations no delta
+announced (a site added quietly, a selective withdraw, an import-policy
+edit, a VRF deleted and re-created under its name, a local change on a
+drained PE): the stamped resync must leave the same VRF state as the
+oracle, report the same counts as a converge with every stamp cleared,
+and leave nothing for a second converge to do.
 """
+
+import copy
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.net.address import Prefix
 from repro.topology import Network
 from repro.vpn.bgp import MpBgp
 from repro.vpn.pe import PeRouter
 from repro.vpn.provision import VpnProvisioner
+from repro.vpn.rd_rt import RouteDistinguisher, RouteTarget
 
 slow_settings = settings(
     max_examples=25,
@@ -65,8 +76,8 @@ def _vrf_snapshot(prov: VpnProvisioner):
     }
 
 
-def _strip_remotes(prov: VpnProvisioner) -> None:
-    for pe in prov.pes():
+def _strip_remotes(pes) -> None:
+    for pe in pes:
         for vrf in pe.vrfs.values():
             vrf.remove_many(
                 [p for p, r in vrf.routes().items() if r.kind == "remote"]
@@ -75,7 +86,7 @@ def _strip_remotes(prov: VpnProvisioner) -> None:
 
 def _oracle_snapshot(prov: VpnProvisioner, drained, rr_clusters=None):
     """Flush every BGP-learned route and converge a fresh engine."""
-    _strip_remotes(prov)
+    _strip_remotes(prov.pes())
     oracle = MpBgp(prov.net, prov.pes(), rr_clusters=rr_clusters)
     for name in sorted(drained):
         oracle.peer_down(name)
@@ -428,3 +439,232 @@ class TestIncrementalMatchesFullConverge:
         assert incremental == _oracle_snapshot(
             prov, drained, rr_clusters=rr_clusters
         )
+
+
+# ----------------------------------------------------------------------
+# The property: converge() after un-delta'd mutations
+# ----------------------------------------------------------------------
+QUIET_KINDS = ("quiet+", "wd-site", "rt", "recreate", "drained-local")
+COUNTS = ("updates_sent", "updates_suppressed", "routes_exported",
+          "routes_withdrawn", "routes_imported", "routes_removed")
+
+
+def _apply_quiet(prov, pes, engine, anchors, drained, op, state) -> bool:
+    """Interpret one mutation that no delta announces; False if skipped."""
+    kind, a, b = op
+    vpns = [prov.vpns[name] for name in sorted(prov.vpns)]
+    up_pes = [pe for pe in pes if pe.name not in drained]
+    if kind == "quiet+":
+        if not up_pes:
+            return False
+        v, pe = vpns[a % len(vpns)], up_pes[b % len(up_pes)]
+        prov.add_site(v, pe, num_hosts=0)
+    elif kind == "wd-site":
+        sites = [(v, s) for v in vpns for s in v.sites if s.pe.name not in drained]
+        if not sites:
+            return False
+        v, site = sites[a % len(sites)]
+        engine.withdraw(site.pe, vrf=v.name, site=site.site_id)
+    elif kind == "rt":
+        # E7-style policy edit: toggle one RT in one VRF's import set.
+        vrfs = [vrf for pe in up_pes for vrf in pe.vrfs.values()]
+        if not vrfs:
+            return False
+        rts = sorted({v.rt for v in vpns}, key=str)
+        vrf = vrfs[a % len(vrfs)]
+        vrf.import_rts = vrf.import_rts ^ {rts[b % len(rts)]}
+    elif kind == "recreate":
+        # Delete a VRF behind the engine's back, then provision a site
+        # that re-creates it under the same name (a fresh Vrf object).
+        homes = [(v, pe) for v in vpns if v.name != "corp"
+                 for pe in up_pes if v.name in pe.vrfs]
+        if not homes:
+            return False
+        v, pe = homes[a % len(homes)]
+        for site in [s for s in v.sites if s.pe is pe]:
+            prov.remove_site(site)
+        pe.remove_vrf(v.name)
+        prov.add_site(v, pe, num_hosts=0)
+    elif kind == "drained-local":
+        if not drained:
+            return False
+        name = sorted(drained)[a % len(drained)]
+        pe = next(p for p in pes if p.name == name)
+        prov.add_site(vpns[b % len(vpns)], pe, num_hosts=0)
+        prov.restore_pe(name)
+        drained.discard(name)
+    else:
+        _apply_op(prov, pes, engine, anchors, drained, op, state)
+    return True
+
+
+def _counts(result) -> dict[str, int]:
+    return {name: getattr(result, name) for name in COUNTS}
+
+
+def _engine_vrfs(engine: MpBgp):
+    return {(pe.name, v.name): v.routes()
+            for pe in engine.pes for v in pe.vrfs.values()}
+
+
+def _assert_stamped_converge(engine: MpBgp, drained=frozenset(), context=None):
+    """``engine.converge()`` reports the counts of the same converge with
+    every stamp cleared, leaves the oracle's VRF state, and leaves
+    nothing for a second converge to do."""
+    twin = copy.deepcopy(engine)
+    twin._export_stamp.clear()
+    twin._import_stamp.clear()
+    expected = _counts(twin.converge())
+    assert _counts(engine.converge()) == expected, context
+    counters = engine.net.counters.snapshot()
+    again = engine.converge()
+    assert again.updates_sent == again.routes_exported == 0, context
+    assert again.routes_imported == again.routes_removed == 0, context
+    assert engine.net.counters.snapshot() == counters, context
+    # The oracle flushes and re-converges, so it runs on a copy.
+    world = copy.deepcopy(engine)
+    _strip_remotes(world.pes)
+    oracle = MpBgp(world.net, world.pes, rr_clusters=engine.rr_clusters or None)
+    for name in sorted(drained):
+        oracle.peer_down(name)
+    oracle.converge()
+    assert _engine_vrfs(engine) == _engine_vrfs(world), context
+
+
+class TestConvergeAfterQuietMutations:
+    @pytest.mark.parametrize(
+        "rr_clusters", [None, ["pe0"]], ids=["full-mesh", "rr"]
+    )
+    @slow_settings
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(QUIET_KINDS + OP_KINDS),
+                st.integers(min_value=0, max_value=11),
+                st.integers(min_value=0, max_value=11),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_converge_matches_unstamped_converge(self, rr_clusters, ops):
+        net, pes, prov = _world(4, rr_clusters=rr_clusters)
+        engine = prov.bgp_engine(rr_clusters=rr_clusters)
+        anchors = {s.site_id for s in prov.vpns["corp"].sites}
+        drained: set[str] = set()
+        state = {"vpn_seq": 0}
+        for op in ops:
+            if not _apply_quiet(prov, pes, engine, anchors, drained, op, state):
+                continue
+            _assert_stamped_converge(engine, drained, context=op)
+
+
+# ----------------------------------------------------------------------
+# Stamped resync: the cases the random property reaches only rarely
+# ----------------------------------------------------------------------
+P = Prefix.parse("10.0.0.0/24")
+RT_X, RT_Y, RT_K = (RouteTarget(65000, n) for n in (1, 2, 3))
+
+
+def _rd(n: int) -> RouteDistinguisher:
+    return RouteDistinguisher(65000, n)
+
+
+class TestStampedResync:
+    def test_recreated_vrf_reranks_without_new_updates(self):
+        """A VRF deleted and re-created behind the engine's back with the
+        same label and locals advertises nothing new, yet it now ranks
+        after its PE's other VRFs, so importers must re-pick its prefixes.
+        Its local_version also matches its predecessor's, so only the
+        object identity tells the stamps apart."""
+        net, (a, b) = _pe_mesh(2)
+        x = a.add_vrf("x", _rd(1), {RT_X}, {RT_X})
+        x.add_local(P, "ce-x", origin_site=1)
+        y = a.add_vrf("y", _rd(2), {RT_Y}, {RT_Y})
+        y.add_local(P, "ce-y", origin_site=2)
+        w = b.add_vrf("w", _rd(3), {RT_X, RT_Y}, set())
+        engine = MpBgp(net, [a, b])
+        engine.converge()
+        assert w.routes()[P].vpn_label == y.vpn_label   # later VRF wins
+        a.remove_vrf("x")
+        x2 = a.add_vrf("x", _rd(1), {RT_X}, {RT_X})
+        x2.add_local(P, "ce-x", origin_site=1)
+        assert (x2.vpn_label, x2.local_version) == (x.vpn_label, x.local_version)
+        _assert_stamped_converge(engine)
+        assert w.routes()[P].vpn_label == x2.vpn_label
+
+    def test_recreated_vrf_gets_every_import(self):
+        net, (a, b) = _pe_mesh(2)
+        a.add_vrf("x", _rd(1), {RT_X}, {RT_X}).add_local(P, "ce-a", origin_site=1)
+        b.add_vrf("x", _rd(1), {RT_X}, {RT_X})
+        engine = MpBgp(net, [a, b])
+        engine.converge()
+        assert b.vrfs["x"].kind_of(P) == "remote"
+        b.remove_vrf("x")
+        b.add_vrf("x", _rd(1), {RT_X}, {RT_X})
+        _assert_stamped_converge(engine)
+        assert b.vrfs["x"].kind_of(P) == "remote"
+
+    def test_local_change_in_vrf_that_does_not_import_its_exports(self):
+        net, (a, b) = _pe_mesh(2)
+        k = a.add_vrf("k", _rd(1), {RT_X}, {RT_K})
+        b.add_vrf("x", _rd(2), {RT_X}, {RT_X}).add_local(P, "ce-b", origin_site=1)
+        engine = MpBgp(net, [a, b])
+        engine.converge()
+        k.add_local(P, "ce-k", origin_site=2)        # shadows the import
+        engine.export_delta(a, k)
+        assert k.kind_of(P) == "local"
+        k.withdraw(P)                                # un-shadows it
+        _assert_stamped_converge(engine)
+        assert k.kind_of(P) == "remote"
+
+    def test_local_removed_after_selective_withdraw(self):
+        net, (a, b) = _pe_mesh(2)
+        xa = a.add_vrf("x", _rd(1), {RT_X}, {RT_X})
+        xa.add_local(P, "ce-a", origin_site=1)
+        b.add_vrf("x", _rd(1), {RT_X}, {RT_X}).add_local(P, "ce-b", origin_site=2)
+        engine = MpBgp(net, [a, b])
+        engine.converge()
+        engine.withdraw(a, vrf="x", site=1)
+        xa.withdraw(P)           # the rebuilt export diff cannot see this
+        _assert_stamped_converge(engine)
+        assert xa.kind_of(P) == "remote"
+
+    def test_import_policy_edit(self):
+        net, (a, b) = _pe_mesh(2)
+        a.add_vrf("x", _rd(1), {RT_X}, {RT_X}).add_local(P, "ce-a", origin_site=1)
+        y = b.add_vrf("y", _rd(2), {RT_Y}, {RT_Y})
+        engine = MpBgp(net, [a, b])
+        engine.converge()
+        assert y.kind_of(P) is None
+        y.import_rts = frozenset({RT_X, RT_Y})       # E7: extranet import
+        _assert_stamped_converge(engine)
+        assert y.kind_of(P) == "remote"
+
+    def test_log_overrun_falls_back_to_a_full_check(self):
+        from repro.vpn.vrf import LOCAL_LOG
+
+        net, (a, b) = _pe_mesh(2)
+        xa = a.add_vrf("x", _rd(1), {RT_X}, {RT_X})
+        b.add_vrf("x", _rd(1), {RT_X}, {RT_X})
+        engine = MpBgp(net, [a, b])
+        engine.converge()
+        for i in range(3 * LOCAL_LOG):               # more than the log holds
+            xa.add_local(Prefix(0x0A000000 + (i << 8), 24), "ce-a", origin_site=i)
+        assert xa.local_changes_since(0) is None
+        _assert_stamped_converge(engine)
+        assert len(b.vrfs["x"]) == 3 * LOCAL_LOG
+
+    def test_remote_install_over_a_local_is_a_local_change(self):
+        net, (a, b) = _pe_mesh(2)
+        xa = a.add_vrf("x", _rd(1), {RT_X}, {RT_X})
+        xa.add_local(P, "ce-a", origin_site=1)
+        xb = b.add_vrf("x", _rd(1), {RT_X}, {RT_X})
+        engine = MpBgp(net, [a, b])
+        engine.converge()
+        assert xb.kind_of(P) == "remote"
+        version = xa.local_version
+        xa.add_remote_many([(P, b.loopback, 99, None)])
+        assert P not in xa.local_routes() and xa.local_version > version
+        assert engine.converge().routes_withdrawn == 1
+        assert xb.kind_of(P) is None

@@ -114,6 +114,102 @@ def test_python_mismatch_fails_fast() -> None:
         restore_network(bad)
 
 
+def test_schema_1_image_is_refused() -> None:
+    # /1 images predate the VRF locals index and the MP-BGP sync stamps.
+    blob = snapshot_network(_small_net())
+    old = _tamper_header(blob, schema="repro.snapshot/1")
+    with pytest.raises(SnapshotError, match="schema"):
+        restore_network(old)
+
+
+# ----------------------------------------------------------------------
+# E15 churn across a snapshot: the MP-BGP stamps and VRF local versions
+# travel with the image, so a storm resumed from it moves the same
+# counters, operation by operation, as the uninterrupted storm.
+
+def _storm_step(ctx: dict, kind: str, i: int) -> None:
+    from repro.routing.spf import reconverge
+
+    net, prov = ctx["net"], ctx["prov"]
+    corp = prov.vpns["corp"]
+    pes = prov.pes()
+    if kind == "flap":
+        site = corp.sites[i % len(corp.sites)]
+        pe = site.pe
+        prov.remove_site(site)
+        prov.add_site(corp, pe, prefix=site.prefix, num_hosts=0)
+        prov.bgp_engine().export_delta(pe, pe.vrfs["corp"])
+    elif kind == "add":          # no delta: the next converge must find it
+        prov.add_site(corp, pes[i % len(pes)], num_hosts=0)
+        prov.converge_bgp()
+    elif kind == "drain":
+        prov.drain_pe(pes[i % len(pes)])
+    elif kind == "restore":
+        prov.restore_pe(pes[i % len(pes)])
+    elif kind == "wave+":
+        wave = prov.create_vpn(f"wave{i}", supernet="172.16.0.0/12")
+        for k in range(3):
+            prov.add_site(wave, pes[(i + k) % len(pes)], num_hosts=0)
+        prov.converge_bgp()
+    elif kind == "wave-":
+        prov.remove_vpn(f"wave{i}")
+    elif kind == "link":
+        link = net.link_between("P1", "P2")
+        link.set_up(False)
+        reconverge(net)
+        link.set_up(True)
+        reconverge(net)
+
+
+_STORM_HEAD = [("flap", 0), ("flap", 5), ("drain", 1), ("add", 2), ("wave+", 0)]
+_STORM_TAIL = [("restore", 1), ("flap", 3), ("wave-", 0), ("link", 0),
+               ("flap", 7), ("add", 4), ("wave+", 1), ("flap", 1), ("wave-", 1)]
+
+
+def _run_storm(ctx: dict, steps: list[tuple[str, int]]) -> list[dict[str, int]]:
+    counters = ctx["net"].counters
+    deltas = []
+    for kind, i in steps:
+        before = counters.snapshot()
+        _storm_step(ctx, kind, i)
+        after = counters.snapshot()
+        deltas.append({k: after.get(k, 0) - before.get(k, 0)
+                       for k in after.keys() | before.keys()
+                       if after.get(k, 0) != before.get(k, 0)})
+    return deltas
+
+
+def _vrf_state(ctx: dict) -> dict:
+    return {(pe.name, vrf.name): vrf.routes()
+            for pe in ctx["prov"].pes() for vrf in pe.vrfs.values()}
+
+
+def test_e15_storm_resumes_from_mid_storm_snapshot() -> None:
+    from repro.experiments.e1_scalability import mpls_base
+
+    ctx = mpls_base(48, seed=13)
+    _run_storm(ctx, _STORM_HEAD)
+    net = ctx.pop("net")
+    blob = snapshot_network(net, ctx)
+    ctx["net"] = net
+
+    live = _run_storm(ctx, _STORM_TAIL)
+    net2, ctx2 = restore_network(blob)
+    ctx2["net"] = net2
+    resumed = _run_storm(ctx2, _STORM_TAIL)
+    assert resumed == live
+    assert any(d.get("bgp.updates") for d in live)
+    assert _vrf_state(ctx2) == _vrf_state(ctx)
+
+    # The restored stamps are coherent with the restored VRFs: a converge
+    # right after restore moves nothing.
+    net3, ctx3 = restore_network(blob)
+    counters = net3.counters.snapshot()
+    again = ctx3["prov"].converge_bgp()
+    assert again.updates_sent == again.routes_imported == again.routes_removed == 0
+    assert net3.counters.snapshot() == counters
+
+
 def test_truncated_blob_fails_fast() -> None:
     blob = snapshot_network(_small_net())
     with pytest.raises(SnapshotError):

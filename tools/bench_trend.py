@@ -28,11 +28,16 @@ Rules, per section of each fresh file:
   warning only — run-to-run noise on shared runners is expected, the
   floor is the contract;
 * sections without a ratio key (raw timings like ``smoke_grid``) are
-  listed for the record.
+  listed for the record;
+* the exact counts of the sections in ``EXACT_ROWS`` (``bgp_churn_storms``:
+  per storm ``events``, ``updates``, ``imported``, ``removed``,
+  ``withdrawn``) must equal the baseline's.  They are deterministic, so a
+  difference is a change of results, not noise.
 
 ``--nonblocking`` or ``BENCH_PERF_NONBLOCKING=1`` in the environment
-downgrades every failure to a report line with exit status 0, matching
-the perf suites' behaviour on shared CI runners.
+downgrades every floor failure to a report line with exit status 0,
+matching the perf suites' behaviour on shared CI runners.  An exact-count
+mismatch still fails: counts carry no noise.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ import sys
 from pathlib import Path
 
 _RATIO_KEYS = ("speedup_vs_scalar", "speedup", "on_over_off", "scaling")
+
+# section -> (row id key, exact count keys)
+EXACT_ROWS = {
+    "bgp_churn_storms": ("storm", ("events", "updates", "imported", "removed", "withdrawn")),
+}
 
 
 def _ratio(section: dict) -> tuple[str, float] | None:
@@ -62,13 +72,35 @@ def _floor(section: dict) -> float | None:
     return None
 
 
-def diff_file(fresh_path: Path, baseline_path: Path, lines: list[str]) -> list[str]:
+def exact_mismatches(name: str, section: dict, base_section: dict) -> list[str]:
+    """Rows of ``section`` whose exact counts differ from the baseline's."""
+    id_key, keys = EXACT_ROWS[name]
+    fresh_rows = {r.get(id_key): r for r in section.get("rows", [])}
+    out: list[str] = []
+    for base_row in base_section.get("rows", []):
+        row_id = base_row.get(id_key)
+        row = fresh_rows.get(row_id)
+        if row is None:
+            out.append(f"{name}[{row_id}]: row missing")
+            continue
+        for key in keys:
+            if row.get(key) != base_row.get(key):
+                out.append(f"{name}[{row_id}].{key}: {row.get(key)!r} != "
+                           f"baseline {base_row.get(key)!r}")
+    return out
+
+
+def diff_file(
+    fresh_path: Path, baseline_path: Path, lines: list[str]
+) -> tuple[list[str], list[str]]:
     """Compare one fresh result file against its baseline.
 
-    Appends human-readable rows to ``lines``; returns the list of
-    blocking regression descriptions (empty when the gate passes).
+    Appends human-readable rows to ``lines``; returns the floor
+    regressions and the exact-count mismatches (both empty when the
+    gate passes).
     """
     regressions: list[str] = []
+    mismatches: list[str] = []
     fresh = json.loads(fresh_path.read_text())
     baseline: dict = {}
     if baseline_path.is_file():
@@ -82,6 +114,13 @@ def diff_file(fresh_path: Path, baseline_path: Path, lines: list[str]) -> list[s
         section = fresh[name]
         if not isinstance(section, dict):
             continue
+        base_section = baseline.get(name, {})
+        if name in EXACT_ROWS and isinstance(base_section, dict) and base_section:
+            wrong = [f"{fresh_path.name}:{m}"
+                     for m in exact_mismatches(name, section, base_section)]
+            mismatches.extend(wrong)
+            lines.append(f"  {name}: exact counts "
+                         f"{'MISMATCH' if wrong else 'equal to baseline'}")
         found = _ratio(section)
         if found is None:
             lines.append(f"  {name}: (no ratio metric — recorded only)")
@@ -89,7 +128,6 @@ def diff_file(fresh_path: Path, baseline_path: Path, lines: list[str]) -> list[s
         key, value = found
         floor = _floor(section)
         enforced = section.get("floor_enforced", True) is not False
-        base_section = baseline.get(name, {})
         base_value = None
         if isinstance(base_section, dict):
             base = _ratio(base_section)
@@ -114,7 +152,7 @@ def diff_file(fresh_path: Path, baseline_path: Path, lines: list[str]) -> list[s
             f"  {name}: {key}={value:.3f}  baseline={base_txt}  "
             f"floor={floor_txt}  [{status}]"
         )
-    return regressions
+    return regressions, mismatches
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -137,15 +175,16 @@ def main(argv: list[str] | None = None) -> int:
 
     lines: list[str] = []
     regressions: list[str] = []
+    mismatches: list[str] = []
     missing: list[str] = []
     for fresh_path in args.fresh:
         if not fresh_path.is_file():
             missing.append(str(fresh_path))
             lines.append(f"{fresh_path}: MISSING (benchmark suite not run?)")
             continue
-        regressions.extend(
-            diff_file(fresh_path, args.baseline_dir / fresh_path.name, lines)
-        )
+        floors, exact = diff_file(fresh_path, args.baseline_dir / fresh_path.name, lines)
+        regressions.extend(floors)
+        mismatches.extend(exact)
 
     if regressions:
         lines.append("")
@@ -154,12 +193,17 @@ def main(argv: list[str] | None = None) -> int:
     else:
         lines.append("")
         lines.append("no floor regressions")
+    if mismatches:
+        lines.append(f"{len(mismatches)} exact-count mismatch(es) (blocking):")
+        lines.extend(f"  - {m}" for m in mismatches)
 
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out is not None:
         args.out.write_text(report)
 
+    if mismatches:
+        return 1
     failed = bool(regressions or missing)
     if failed and nonblocking:
         sys.stdout.write("BENCH_PERF_NONBLOCKING: regressions reported, "
