@@ -40,13 +40,13 @@ from repro.sweep.grids import e1_grid
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 # ISSUE 4 acceptance: ≥2× end-to-end on at least one full experiment
-# scenario (single process), ≥3× sweep scaling at 4 workers.  The
-# columnar burst tier (ISSUE 7) plus admitting capacity-bounded
-# GenCaches to it (per-burst epoch eviction, ISSUE 8) raised the e12a
-# measurement to 2.12-2.36× standalone against the frozen reference
-# stack; under full-suite contention on a loaded single-core box it
-# dips to ~2.09×, so the enforced floor stays at 2.1× — the margin is
-# headroom for shared runners, not doubt about the speedup.
+# scenario (single process), ≥3× sweep scaling at 4 workers.  The e12a
+# measurement runs 2.12-2.36× standalone against the frozen reference
+# stack, all of it on the scalar per-packet path (E12a never forms a
+# same-timestamp burst); under full-suite contention on a loaded
+# single-core box it dips to ~2.09×, so the enforced floor stays at
+# 2.1× — the margin is headroom for shared runners, not doubt about the
+# speedup.
 MIN_E2E_SPEEDUP = 2.0
 MIN_E12A_SPEEDUP = 2.1
 MIN_SWEEP_SCALING = 3.0

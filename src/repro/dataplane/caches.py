@@ -42,18 +42,6 @@ class GenCache:
     secondary:
         Optional second generation source when a decision is derived from
         two tables (the LSR's IP path reads the FIB *and* the FTN).
-    capacity:
-        Optional residency bound.  ``None`` (the default) keeps the cache
-        unbounded as before; with a bound, the cache is trimmed back to
-        ``capacity`` entries at *epoch boundaries* — the top of every
-        :meth:`get` and every :meth:`sync` — evicting oldest first
-        (insertion-order FIFO — cheap, and churn workloads that would
-        thrash any policy are the ones the bound exists for) and counting
-        each eviction in ``evictions``.  Inserts themselves never evict:
-        a burst may transiently overshoot the bound by the number of
-        distinct keys it fills, which is what lets the columnar tier's
-        pre-gathered probes stay coherent (no entry can disappear between
-        a group's interleaved rows).
 
     ``None`` is not a cacheable value — :meth:`get` returns ``None`` for
     a miss, so negative decisions must be encoded (the flow cache stores
@@ -62,12 +50,10 @@ class GenCache:
 
     __slots__ = (
         "_primary", "_secondary", "_gen_p", "_gen_s", "_entries",
-        "hits", "misses", "invalidations", "capacity", "evictions",
+        "hits", "misses", "invalidations",
     )
 
-    def __init__(
-        self, primary: Any, secondary: Any = None, capacity: int | None = None
-    ) -> None:
+    def __init__(self, primary: Any, secondary: Any = None) -> None:
         self._primary = primary
         self._secondary = secondary
         self._gen_p = primary.generation
@@ -76,28 +62,10 @@ class GenCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.capacity = capacity
-        self.evictions = 0
 
     # ------------------------------------------------------------------
-    def _trim(self) -> None:
-        """Evict oldest entries (FIFO) until residency is back at capacity."""
-        entries = self._entries
-        cap = self.capacity
-        excess = len(entries) - cap
-        if excess > 0:
-            for key in list(entries)[:excess]:
-                del entries[key]
-            self.evictions += excess
-
     def get(self, key: int) -> Any:
-        """Cached decision for ``key``, or ``None`` on miss/stale.
-
-        For bounded caches this is also an epoch boundary: residency is
-        trimmed back to ``capacity`` before the probe, so the scalar
-        per-packet path keeps the bound tight while burst fills between
-        probes may transiently overshoot it.
-        """
+        """Cached decision for ``key``, or ``None`` on miss/stale."""
         if self._gen_p != self._primary.generation or (
             self._secondary is not None
             and self._gen_s != self._secondary.generation
@@ -109,8 +77,6 @@ class GenCache:
             self.invalidations += 1
             self.misses += 1
             return None
-        if self.capacity is not None:
-            self._trim()
         value = self._entries.get(key)
         if value is None:
             self.misses += 1
@@ -123,59 +89,8 @@ class GenCache:
 
         Callers must :meth:`get` first (the miss refreshes the captured
         generations), which the pipeline's lookup stages always do.
-        Never evicts — the capacity bound is applied at the next epoch
-        boundary (:meth:`get` / :meth:`sync`), so a batch of fills within
-        one burst cannot invalidate entries another group in the same
-        burst already gathered.
         """
         self._entries[key] = value
-
-    def sync(self) -> dict[int, Any]:
-        """Refresh the generation guard once and return the live entry dict.
-
-        The batch pipeline calls this per burst and probes the returned
-        dict directly, bumping ``hits``/``misses`` itself so the counters
-        come out exactly as per-packet :meth:`get` calls would (a stale
-        burst counts one invalidation here plus one miss for the first
-        probing packet — same totals as scalar).  Sound only because no
-        source table can mutate mid-burst: control-plane mutations are
-        scheduled events, never run synchronously from packet delivery.
-
-        For bounded caches this is the per-burst epoch boundary: the
-        eviction backlog accumulated by the previous burst's fills is
-        replayed here in one FIFO pass (oldest first), instead of per
-        row — within the burst that follows, no entry can be evicted.
-        """
-        if self._gen_p != self._primary.generation or (
-            self._secondary is not None
-            and self._gen_s != self._secondary.generation
-        ):
-            self._entries.clear()
-            self._gen_p = self._primary.generation
-            if self._secondary is not None:
-                self._gen_s = self._secondary.generation
-            self.invalidations += 1
-        elif self.capacity is not None:
-            self._trim()
-        return self._entries
-
-    def probe_many(self, keys: "list[int]") -> list[Any]:
-        """Batched counter-free gather: cached value (or ``None``) per key.
-
-        The columnar pipeline resolves a burst per *unique* key: it syncs
-        once, gathers all groups' entries here, then applies the group
-        arithmetic itself (one real lookup per missed group, ``hits``/
-        ``misses``/logical-lookup counters bumped by group size) so the
-        totals land exactly where per-packet :meth:`get` calls would.
-        Safe for bounded caches too: capacity is enforced by per-burst
-        epoch eviction (the :meth:`sync` here trims the previous burst's
-        overshoot), and :meth:`put` never evicts, so no fill for one
-        group can invalidate another group's pre-gathered entry between
-        that group's interleaved rows.
-        """
-        entries = self.sync()
-        get = entries.get
-        return [get(k) for k in keys]
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
@@ -191,6 +106,5 @@ class GenCache:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
-            "evictions": self.evictions,
             "entries": len(self._entries),
         }

@@ -41,13 +41,10 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.dataplane.caches import GenCache
-from repro.dataplane.columns import PacketColumns, exp_lut, group_rows
 from repro.net.address import IPv4Address, Prefix
 from repro.net.drops import DropReason
-from repro.net.packet import MplsEntry, Packet
+from repro.net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.mpls.lfib import FtnTable, Lfib, Nhlfe
@@ -71,52 +68,7 @@ def _resolve_mpls_symbols() -> None:
         LabelOp = _label_op
         IMPLICIT_NULL = _implicit_null
 
-__all__ = ["ForwardingPipeline", "flow_hash", "COLUMNAR_MIN"]
-
-#: Minimum burst size for the columnar (struct-of-arrays) path: below it
-#: the ndarray setup costs more than the per-row loop saves.  Module-level
-#: and read at call time so the parity tests can force tiny bursts through
-#: the columnar resolver (monkeypatch it to 1).
-COLUMNAR_MIN = 4
-
-# Row action codes for the columnar resolve/apply split.  Resolution fills
-# an int action column + a decision index per row; the apply loop is a
-# single in-order pass that materializes each action back onto the packet.
-_A_PENDING = 0      # awaiting the dst-key gather (the ip stage)
-_A_IP = 1           # plain IP forward (includes implicit-null imposition)
-_A_IMPOSE = 2       # push the NHLFE's label stack, then forward
-_A_ECMP = 3         # IP forward, per-flow path choice
-_A_SWAP = 4         # label swap
-_A_POP = 5          # penultimate-hop pop
-_A_LOCAL = 6        # deliver to local sinks
-_A_POPP_LOCAL = 7   # pop the last label, then deliver locally
-_A_VPN = 8          # VPN egress (stock PE hook, VRF group-resolved)
-_A_VRF = 9          # attachment-circuit ingress (customer stage)
-_A_SLOW = 10        # exotic label op, per-row scalar continuation
-_A_DROP = 11        # drop; no header mutation happened
-_A_DROPW = 12       # drop after writing back the decremented TTL
-
-# Label-stack entries built on the imposition fast path skip the dataclass
-# __init__/__post_init__ (labels come from the NHLFE, EXP from the 3-bit
-# LUT — both validated at install time, same trust the scalar path places
-# in swap_label's entry fields).
-_NEW_MPLS = object.__new__
-
-# The stock PeRouter VPN-egress delivery hook, resolved lazily (importing
-# repro.vpn.pe at load time would close the same cycle as the MPLS symbols
-# above).  The batch path inlines VPN egress only when the node's
-# ``vpn_deliver`` is exactly this method — a customized hook always gets
-# the scalar call.
-_PE_VPN_DELIVER: Any = None
-
-
-def _stock_pe_deliver() -> Any:
-    global _PE_VPN_DELIVER
-    if _PE_VPN_DELIVER is None:
-        from repro.vpn.pe import PeRouter
-
-        _PE_VPN_DELIVER = PeRouter._vpn_deliver
-    return _PE_VPN_DELIVER
+__all__ = ["ForwardingPipeline", "flow_hash"]
 
 
 def dscp_to_exp(dscp: int) -> int:
@@ -260,1179 +212,10 @@ class ForwardingPipeline:
         else:
             self.sim.schedule_call(cost, self.ip_stage, pkt)
 
-    # ------------------------------------------------------------------
-    # Vector fast path
-    # ------------------------------------------------------------------
     def ingress_batch(self, items: "list[tuple[Packet, str]]") -> None:
-        """Vector entry point (``Router.receive_batch``): dispatch one burst.
-
-        Three tiers, all observationally identical to N scalar ``receive``
-        calls (the parity contract of ``tests/test_dataplane_batch.py``):
-
-        * Nodes with modeled per-packet CPU cost fall back to the scalar
-          path — their stages go through the scheduler anyway.
-        * The **columnar** path (:meth:`_ingress_columns`): the burst is
-          transposed into :class:`~repro.dataplane.columns.PacketColumns`
-          and forwarding decisions are resolved per *unique* key with
-          vectorized gathers/masks, materializing back onto the packets
-          in one in-order apply pass.  Taken whenever the burst is big
-          enough to amortize the ndarray setup (``COLUMNAR_MIN``).  With
-          a flight recorder or drop subscriber attached, the apply pass
-          emits per-row records and sends per packet, so the observable
-          interleave stays bit-identical to the scalar sequence; the
-          uniform whole-burst shortcuts and egress run coalescing engage
-          only when untraced.  Capacity-bounded caches are fine here:
-          they evict at per-burst epoch boundaries (:meth:`GenCache.sync`),
-          never on insert, so no fill can invalidate another group's
-          pre-gathered entry mid-burst.
-        * The hoisted per-row loop (:meth:`_ingress_batch_loop`)
-          otherwise — the small-burst tier, and the reference the
-          columnar path is tested against.
-        """
-        node = self.node
-        processing = node.processing
-        if processing.ip_lookup_s > 0.0 or processing.label_lookup_s > 0.0:
-            receive = node.receive
-            for pkt, ifname in items:
-                receive(pkt, ifname)
-            return
-        if len(items) >= COLUMNAR_MIN:
-            self._ingress_columns(items)
-            return
-        self._ingress_batch_loop(items)
-
-    def _ingress_batch_loop(self, items: "list[tuple[Packet, str]]") -> None:
-        """Hoisted per-row burst loop (the traced / small-burst tier).
-
-        Packets are processed *sequentially in arrival order* through the
-        full per-packet pipeline — TTL, flight-recorder records, drops,
-        and ECMP hashing all happen per packet, so the side-effect
-        sequence is bit-identical to N scalar ``receive`` calls.  The win
-        is amortization: the receive/handle/ingress/stage call frames
-        collapse into one loop, loop-invariant attributes (tables, trace
-        sinks, node policy — none of which can mutate mid-burst, since
-        control-plane work is never run synchronously from packet
-        delivery) are hoisted, and each GenCache is generation-checked
-        once per burst (:meth:`GenCache.sync`) with the loop probing the
-        entry dict directly; hit/miss/lookup counters are bumped to
-        exactly what per-packet ``get`` calls would have recorded.
-
-        Egress run coalescing: with no flight recorder and no drop
-        subscriber attached, consecutive packets that resolve to the same
-        egress interface are buffered and flushed through one
-        ``Interface.send_batch`` call.  Runs break at every interface
-        change and are flushed before any side path that could touch an
-        interface out of order (``transmit``, VPN egress, local
-        delivery), so per-interface op order — queue occupancy, AQM
-        verdicts, kick timing — is exactly the scalar sequence.  When
-        either observer is attached the per-packet ``send`` path runs
-        instead, keeping the record interleave bit-identical.
-        """
-        node = self.node
-        now = self.sim.now
-        stats = node.stats
-        trace = node.trace
-        fl = trace.flight
-        fa = trace.flows
-        name = node.name
-        addresses = node.addresses
-        interfaces = node.interfaces
-        drop = node.drop
-        deliver_local = node.deliver_local
-        transmit = node.transmit
-        fib = self.fib
-        ftn = self.ftn
-        lfib = self.lfib
-        flow_cache = self.flow_cache
-        # Entry dicts sync lazily on first probe: a burst that never
-        # reaches a lookup stage (say, one TTL-expired row) must not
-        # count a staleness invalidation the scalar path never saw.
-        flow_entries: "dict | None" = None
-        voc = self.vrf_of_circuit
-        if lfib is not None:
-            label_cache = self.label_cache
-            label_entries: "dict | None" = None
-            op_swap = LabelOp.SWAP
-            op_pop = LabelOp.POP
-            op_pop_process = LabelOp.POP_PROCESS
-            op_swap_push = LabelOp.SWAP_PUSH
-            op_vpn = LabelOp.VPN
-            implicit_null = IMPLICIT_NULL
-            impose_exp = node.impose_exp
-            vpn_deliver = node.vpn_deliver
-            pe_fast = (
-                self.vrfs is not None
-                and vpn_deliver is not None
-                and getattr(vpn_deliver, "__func__", None) is _stock_pe_deliver()
-            )
-            # Per-burst memo of vrf-name → Vrf object (satellite of the
-            # vector PR): vpn_egress resolved ``vrfs.get`` per packet.
-            # Cross-burst memoization would dodge the Vrf generation
-            # guard, so the memo's lifetime is exactly one burst.
-            vrf_objs: dict[str, Any] = {}
-        else:
-            impose_exp = implicit_null = None
-        vec_tx = fl is None and not trace.active("drop")
-        run_name: str | None = None
-        run_iface: Any = None
-        run_pkts: list[Packet] | None = None
-
-        def tx_cold(pkt: Packet, out: str) -> None:
-            # Run boundary (or scalar fallback): resolve the interface,
-            # flush the open run, start the next one.
-            nonlocal run_name, run_iface, run_pkts
-            iface = interfaces.get(out)
-            if iface is None or iface.link is None:
-                drop(pkt, DropReason.NO_IFACE)
-                return
-            if not vec_tx:
-                stats.forwarded += 1
-                iface.send(pkt)
-                return
-            if run_name is not None:
-                stats.forwarded += len(run_pkts)
-                run_iface.send_batch(run_pkts)
-            run_name = out
-            run_iface = iface
-            run_pkts = [pkt]
-
-        def flush_run() -> None:
-            nonlocal run_name, run_iface, run_pkts
-            if run_name is not None:
-                stats.forwarded += len(run_pkts)
-                run_iface.send_batch(run_pkts)
-                run_name = run_iface = run_pkts = None
-
-        stats.rx_packets += len(items)
+        # Kept because the benchmark tracer names it; nothing here calls it.
         for pkt, ifname in items:
-            pkt.hops += 1
-            if fl is not None:
-                fl.rx(now, name, pkt, ifname)
-            stack = pkt.mpls_stack
-            if stack:
-                if lfib is None:
-                    drop(pkt, DropReason.LABELED_AT_IP_ROUTER)
-                    continue
-                # ---- label-op stage, probes on the synced entry dict ----
-                to_ip = False
-                if label_entries is None:
-                    label_entries = label_cache.sync()
-                while True:
-                    top = stack[-1]
-                    label = top.label
-                    entry = label_entries.get(label)
-                    if entry is None:
-                        label_cache.misses += 1
-                        entry = lfib.lookup(label)
-                        if entry is None:
-                            drop(pkt, DropReason.NO_LABEL)
-                            break
-                        label_cache.put(label, entry)
-                    else:
-                        label_cache.hits += 1
-                        lfib.lookups += 1
-                    op = entry.op
-                    if op is op_swap:
-                        if pkt.decrement_ttl() <= 0:
-                            drop(pkt, DropReason.TTL)
-                            break
-                        if fl is not None:
-                            fl.label_op(now, name, pkt, "swap",
-                                        old=label, new=entry.out_label)
-                        pkt.swap_label(entry.out_label)
-                        out = entry.out_ifname
-                        if out == run_name:
-                            run_pkts.append(pkt)
-                        else:
-                            tx_cold(pkt, out)
-                        break
-                    if op is op_pop:
-                        if pkt.decrement_ttl() <= 0:
-                            drop(pkt, DropReason.TTL)
-                            break
-                        if fl is not None:
-                            fl.label_op(now, name, pkt, "pop", old=label)
-                        pkt.pop_label()
-                        out = entry.out_ifname
-                        if out == run_name:
-                            run_pkts.append(pkt)
-                        else:
-                            tx_cold(pkt, out)
-                        break
-                    if op is op_pop_process:
-                        if fl is not None:
-                            fl.label_op(now, name, pkt, "pop", old=label)
-                        pkt.pop_label()
-                        if stack:
-                            continue  # inner label is also ours
-                        if pkt.ip.dst in addresses:
-                            flush_run()  # sinks may inject traffic
-                            deliver_local(pkt)
-                        else:
-                            to_ip = True
-                        break
-                    if op is op_swap_push:
-                        if pkt.decrement_ttl() <= 0:
-                            drop(pkt, DropReason.TTL)
-                            break
-                        exp = top.exp
-                        if fl is not None:
-                            fl.label_op(now, name, pkt, "swap",
-                                        old=label, new=entry.out_label)
-                            fl.label_op(now, name, pkt, "push",
-                                        new=entry.push_label)
-                        pkt.swap_label(entry.out_label)
-                        pkt.push_label(entry.push_label, exp=exp)
-                        flush_run()  # ordinary transmit may share the run's iface
-                        transmit(pkt, entry.out_ifname)
-                        break
-                    if op is op_vpn:
-                        if fl is not None:
-                            fl.label_op(now, name, pkt, "pop", old=label)
-                        pkt.pop_label()
-                        if not pe_fast:
-                            if vpn_deliver is None:
-                                drop(pkt, DropReason.VPN_LABEL_NO_VRF)
-                            else:
-                                flush_run()  # hook may transmit or deliver
-                                vpn_deliver(pkt, entry.vrf)
-                            break
-                        vrf_name = entry.vrf
-                        vrf = vrf_objs.get(vrf_name)
-                        if vrf is None:
-                            vrf = self.vrfs.get(vrf_name)
-                            if vrf is None:
-                                drop(pkt, DropReason.UNKNOWN_VRF)
-                                break
-                            vrf_objs[vrf_name] = vrf
-                        flush_run()  # VPN egress transmits internally
-                        self._vpn_egress_vrf(pkt, vrf, fa)
-                        break
-                    drop(pkt, DropReason.BAD_LFIB_OP)  # pragma: no cover
-                    break
-                if not to_ip:
-                    continue
-            else:
-                if voc is not None:
-                    vrf = voc.get(ifname)
-                    if vrf is not None:
-                        # ---- customer stage, ``fa`` hoisted per burst ----
-                        if fa is not None:
-                            fa.ingress(name, vrf.name, pkt)
-                        if pkt.decrement_ttl() <= 0:
-                            drop(pkt, DropReason.TTL)
-                            continue
-                        route = self._vrf_lookup(vrf, pkt.ip.dst)
-                        if route is None:
-                            drop(pkt, DropReason.NO_VRF_ROUTE)
-                            continue
-                        flush_run()  # customer egress transmits internally
-                        if route.kind == "local":
-                            transmit(pkt, route.out_ifname)
-                        else:
-                            self.remote_stage(pkt, route)
-                        continue
-                if pkt.ip.dst in addresses:
-                    flush_run()  # sinks may inject traffic
-                    deliver_local(pkt)
-                    continue
-            # ---- ip stage (unlabeled transit, or the POP_PROCESS tail) ----
-            if pkt.decrement_ttl() <= 0:
-                drop(pkt, DropReason.TTL)
-                continue
-            dst = pkt.ip.dst
-            dv = dst.value
-            if flow_entries is None:
-                flow_entries = flow_cache.sync()
-            decision = flow_entries.get(dv)
-            if decision is None:
-                flow_cache.misses += 1
-                if ftn is None:
-                    route = fib.lookup(dst)
-                    nhlfe = None
-                else:
-                    match = fib.lookup_prefix(dst)
-                    if match is None:
-                        route = nhlfe = None
-                    else:
-                        prefix, route = match
-                        nhlfe = ftn.lookup(prefix)
-                flow_cache.put(dv, (route, nhlfe))
-            else:
-                flow_cache.hits += 1
-                route, nhlfe = decision
-                if ftn is None:
-                    fib.lookups += 1
-            if nhlfe is not None:
-                # ---- qos-mark stage (imposition) ----
-                exp = (
-                    impose_exp if impose_exp is not None
-                    else dscp_to_exp(pkt.ip.dscp)
-                )
-                for lbl in nhlfe.labels:
-                    if lbl == implicit_null:
-                        continue
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "push", new=lbl)
-                    pkt.push_label(lbl, exp=exp)
-                out = nhlfe.out_ifname
-                if out == run_name:
-                    run_pkts.append(pkt)
-                else:
-                    tx_cold(pkt, out)
-                continue
-            if route is None:
-                drop(pkt, DropReason.NO_ROUTE)
-                continue
-            # ---- egress dispatch (per-packet ECMP hash) ----
-            if route.alternates:
-                paths = route.all_paths
-                out = paths[flow_hash(pkt) % len(paths)][0]
-            else:
-                out = route.out_ifname
-            if out == run_name:
-                run_pkts.append(pkt)
-            else:
-                tx_cold(pkt, out)
-        flush_run()
-
-    # ------------------------------------------------------------------
-    # Columnar fast path (struct-of-arrays)
-    # ------------------------------------------------------------------
-    def _ingress_columns(self, items: "list[tuple[Packet, str]]") -> None:
-        """Struct-of-arrays burst resolution: classify → gather → apply.
-
-        The burst is transposed into :class:`PacketColumns` (one O(n)
-        object walk), then resolved without touching the packets again:
-
-        1. **Label groups** — unique top labels in first-arrival order,
-           one LFIB/cache probe per group; hit/miss/logical-lookup
-           counters are bumped by group size to exactly the per-row
-           totals.  SWAP/POP/VPN/local rows get their action codes here;
-           single-level ``POP_PROCESS`` transit rows fall through to the
-           ip stage with a pop-first flag; exotic ops (``SWAP_PUSH``,
-           multi-level ``POP_PROCESS``, a customized VPN hook) defer to
-           the per-row scalar continuation (:meth:`_row_label_slow`).
-        2. **VRF demux / local delivery** — attachment-circuit rows via a
-           per-burst ifname memo; local rows via one vectorized
-           membership test on the dst-key column.
-        3. **Mass TTL** — one masked decrement over every row the scalar
-           path would decrement (SWAP, POP, ip-stage, customer ingress),
-           with the expiry mask rewriting actions to drops.  Rows whose
-           handlers order observable effects around the decrement
-           themselves (customer ingress runs the flow accountant first)
-           keep their action and re-check in the apply pass.
-        4. **Dst-key gather** — unique destinations of the surviving
-           ip-stage rows against the flow cache, same group arithmetic;
-           misses resolve through the identical trie/FTN calls the scalar
-           path makes (negative decisions cached as ``(None, None)``).
-        5. **Apply** — one in-order pass materializing header writes
-           (TTL, swaps, pushes via direct slot stores, pops), with egress
-           run coalescing identical to the loop tier: consecutive
-           same-interface rows flush through one ``send_batch`` carrying
-           the wire-bytes column, so queue byte accounting never re-reads
-           the packets.
-
-        Packet objects are only touched in the build pass and at
-        materialization boundaries — egress write-back, drops, local
-        delivery, trace/measurement hooks — which is the lazy-
-        materialization contract documented in ARCHITECTURE §11.
-        """
-        node = self.node
-        stats = node.stats
-        n = len(items)
-        stats.rx_packets += n
-        cols = PacketColumns(items)
-        trace = node.trace
-        fa = trace.flows
-        fl = trace.flight
-        # Per-packet observers force the per-row record interleave: no
-        # uniform whole-burst shortcuts, per-packet sends instead of run
-        # coalescing.  The resolve phases (1-4) are unaffected — lookups
-        # and counter arithmetic are not observable events.
-        vec_tx = fl is None and not trace.active("drop")
-        addresses = node.addresses
-        lfib = self.lfib
-        act = np.zeros(n, dtype=np.int64)
-        didx = np.zeros(n, dtype=np.int64)
-        decisions: list[Any] = [None]
-        dec_append = decisions.append
-        lab_rows = cols.lab_rows
-        popp: list[bool] | None = None
-        # ``special`` tracks whether any row holds a non-PENDING action —
-        # while False, phases 3/4 take uniform-shape shortcuts (whole-array
-        # decrement, no PENDING scan).  ``uni_swap`` is the all-rows single-
-        # group SWAP entry: the core-LSR shape whose action/didx writes are
-        # deferred (filled only on a fallback) because the uniform apply
-        # loop never reads them.
-        special = bool(lab_rows)
-        uni_swap: Any = None
-        uni_didx = 0
-
-        # ---- phase 1: label-op groups -------------------------------
-        if lab_rows:
-            popp = [False] * n
-            if lfib is None:
-                if cols.all_labeled:
-                    act[:] = _A_DROP
-                    didx[:] = len(decisions)
-                else:
-                    lab_idx = np.array(lab_rows, dtype=np.int64)
-                    act[lab_idx] = _A_DROP
-                    didx[lab_idx] = len(decisions)
-                dec_append(DropReason.LABELED_AT_IP_ROUTER)
-            else:
-                label_cache = self.label_cache
-                label_l = cols.label_list
-                keys = (
-                    label_l if cols.all_labeled
-                    else [label_l[r] for r in lab_rows]
-                )
-                ukeys, buckets = group_rows(lab_rows, keys)
-                probed = label_cache.probe_many(ukeys)
-                vrfs = self.vrfs
-                vpn_deliver = node.vpn_deliver
-                pe_fast = (
-                    vrfs is not None
-                    and vpn_deliver is not None
-                    and getattr(vpn_deliver, "__func__", None)
-                    is _stock_pe_deliver()
-                )
-                vrf_objs: dict[str, Any] = {}
-                op_swap = LabelOp.SWAP
-                op_pop = LabelOp.POP
-                op_popp = LabelOp.POP_PROCESS
-                op_vpn = LabelOp.VPN
-                for g, key in enumerate(ukeys):
-                    rows_l = lab_rows if buckets is None else buckets[g]
-                    c = len(rows_l)
-                    entry = probed[g]
-                    if entry is None:
-                        # Scalar row 1: miss + real lookup (+fill); rows
-                        # 2..c then hit the fresh entry.  An unknown label
-                        # is never cached, so every row of its group
-                        # misses and consults the LFIB.
-                        label_cache.misses += 1
-                        entry = lfib.lookup(key)
-                        if entry is None:
-                            label_cache.misses += c - 1
-                            lfib.lookups += c - 1
-                            rows = np.fromiter(rows_l, np.int64, count=c)
-                            act[rows] = _A_DROP
-                            didx[rows] = len(decisions)
-                            dec_append(DropReason.NO_LABEL)
-                            continue
-                        label_cache.put(key, entry)
-                        label_cache.hits += c - 1
-                        lfib.lookups += c - 1
-                    else:
-                        label_cache.hits += c
-                        lfib.lookups += c
-                    op = entry.op
-                    if op is op_swap:
-                        di = len(decisions)
-                        dec_append(entry)
-                        if c == n:
-                            uni_swap = entry
-                            uni_didx = di
-                        else:
-                            rows = np.fromiter(rows_l, np.int64, count=c)
-                            act[rows] = _A_SWAP
-                            didx[rows] = di
-                    elif op is op_pop:
-                        rows = np.fromiter(rows_l, np.int64, count=c)
-                        act[rows] = _A_POP
-                        didx[rows] = len(decisions)
-                        dec_append(entry)
-                    elif op is op_popp:
-                        di = 0
-                        depth = cols.depth_col()
-                        for r in rows_l:
-                            if depth[r] > 1:
-                                if di == 0:
-                                    di = len(decisions)
-                                    dec_append(entry)
-                                act[r] = _A_SLOW
-                                didx[r] = di
-                            elif items[r][0].ip.dst in addresses:
-                                act[r] = _A_POPP_LOCAL
-                            else:
-                                popp[r] = True  # stays pending → ip gather
-                    elif op is op_vpn and pe_fast:
-                        vrf_name = entry.vrf
-                        vrf = vrf_objs.get(vrf_name)
-                        if vrf is None:
-                            vrf = vrfs.get(vrf_name)
-                            vrf_objs[vrf_name] = vrf
-                        rows = np.fromiter(rows_l, np.int64, count=c)
-                        act[rows] = _A_VPN
-                        didx[rows] = len(decisions)
-                        dec_append(vrf)  # None → UNKNOWN_VRF at apply
-                    else:
-                        # SWAP_PUSH, a customized VPN hook, or a bad op:
-                        # per-row scalar continuation.
-                        rows = np.fromiter(rows_l, np.int64, count=c)
-                        act[rows] = _A_SLOW
-                        didx[rows] = len(decisions)
-                        dec_append(entry)
-
-        # ---- phase 2: VRF demux + local delivery --------------------
-        if not cols.all_labeled:
-            unlab: Any
-            if lab_rows:
-                lset = set(lab_rows)
-                unlab = [r for r in range(n) if r not in lset]
-            else:
-                unlab = range(n)
-            voc = self.vrf_of_circuit
-            if voc is not None:
-                ifmemo: dict[str, Any] = {}
-                vrf_rows: dict[str, tuple[Any, list[int]]] = {}
-                rest: list[int] = []
-                rest_append = rest.append
-                for r in unlab:
-                    ifn = items[r][1]
-                    v = ifmemo.get(ifn)
-                    if v is None and ifn not in ifmemo:
-                        v = ifmemo[ifn] = voc.get(ifn)
-                    if v is None:
-                        rest_append(r)
-                    else:
-                        bucket = vrf_rows.get(v.name)
-                        if bucket is None:
-                            vrf_rows[v.name] = (v, [r])
-                        else:
-                            bucket[1].append(r)
-                for v, rws in vrf_rows.values():
-                    rarr = np.array(rws, dtype=np.int64)
-                    act[rarr] = _A_VRF
-                    didx[rarr] = len(decisions)
-                    dec_append(v)
-                if vrf_rows:
-                    special = True
-                unlab = rest
-            if addresses:
-                # Set membership on the plain dst-key list: the address
-                # table is a handful of host entries, so building the
-                # int-value set per burst is far cheaper than np.isin.
-                # The C-level isdisjoint scan settles the common transit
-                # burst (no local traffic) without the filter pass.
-                dst_l = cols.dst_keys()
-                avals = {a.value for a in addresses}
-                if not avals.isdisjoint(dst_l):
-                    loc = [r for r in unlab if dst_l[r] in avals]
-                    if loc:
-                        act[np.array(loc, dtype=np.int64)] = _A_LOCAL
-                        special = True
-
-        # ---- phase 3: mass TTL decrement + expiry mask --------------
-        ttl_l: list[int] | None = cols.ttl_list
-        if not special or uni_swap is not None:
-            # Uniform shapes (every row PENDING, or one SWAP group
-            # covering the burst): a single min() gates the expiry path
-            # off the common no-expiry case, and when nothing expires
-            # the decrement fuses into the apply loops (``ttl_l = None``
-            # is the fused-decrement sentinel).
-            if min(ttl_l) <= 1:
-                ttl = np.array(ttl_l, dtype=np.int64)
-                ttl -= 1
-                if uni_swap is not None:
-                    # The deferred uniform-SWAP writes become real: the
-                    # expiry mask needs per-row actions to override.
-                    act[:] = _A_SWAP
-                    didx[:] = uni_didx
-                    uni_swap = None
-                low = ttl <= 0
-                act[low] = _A_DROPW
-                didx[low] = len(decisions)
-                dec_append(DropReason.TTL)
-                special = True
-                ttl_l = ttl.tolist()
-            else:
-                ttl_l = None
-        else:
-            ttl = np.array(ttl_l, dtype=np.int64)
-            decr = (act == _A_PENDING) | (act == _A_SWAP) | (act == _A_POP) \
-                | (act == _A_VRF)
-            if decr.all():
-                ttl -= 1
-            else:
-                ttl[decr] -= 1
-            low = decr & (ttl <= 0)
-            if low.any():
-                # Customer-ingress rows keep their action: the flow
-                # accountant must record the arrival before the TTL
-                # verdict, so their handler re-checks the written-back
-                # TTL itself.
-                over = low & (act != _A_VRF)
-                if over.any():
-                    act[over] = _A_DROPW
-                    didx[over] = len(decisions)
-                    dec_append(DropReason.TTL)
-            ttl_l = ttl.tolist()
-
-        # ---- phase 4: dst-key gather (the ip stage) -----------------
-        interfaces = node.interfaces
-        if not special:
-            # Pure-IP burst, nothing assigned yet: every row is an
-            # ip-stage row, so skip the PENDING scan outright.
-            flow_cache = self.flow_cache
-            dst_l = cols.dst_keys()
-            k0 = dst_l[0]
-            if dst_l.count(k0) == n:
-                # One destination (the dominant edge shape — a traffic
-                # train into one remote): skip the grouping dict.
-                ukeys, buckets = [k0], None
-            else:
-                ukeys, buckets = group_rows(range(n), dst_l)
-            probed = flow_cache.probe_many(ukeys)
-            if buckets is None:
-                # Homogeneous burst — one destination, one decision: the
-                # dominant edge shape (a traffic train into one remote).
-                # Dispatch straight to a uniform apply loop with no
-                # action/decision bookkeeping at all.
-                kind, payload = self._resolve_dst_group(
-                    probed[0], ukeys[0], items[0][0].ip.dst, n
-                )
-                if vec_tx:
-                    if kind == _A_IP:
-                        iface = interfaces.get(payload)
-                        if iface is not None and iface.link is not None:
-                            self._apply_uniform_ip(items, cols, iface)
-                            return
-                    elif kind == _A_IMPOSE:
-                        iface = interfaces.get(payload[1])
-                        if iface is not None and iface.link is not None:
-                            self._apply_uniform_impose(
-                                items, cols, payload[0], iface
-                            )
-                            return
-                    elif kind == _A_DROPW:
-                        self._apply_uniform_noroute(items, cols)
-                        return
-                # ECMP (per-row hash spray), a missing egress interface,
-                # or a traced burst: whole-burst action, generic apply.
-                act[:] = kind
-                didx[:] = 1
-                dec_append(payload)
-            else:
-                for g, key in enumerate(ukeys):
-                    rows_l = buckets[g]
-                    c = len(rows_l)
-                    kind, payload = self._resolve_dst_group(
-                        probed[g], key, items[rows_l[0]][0].ip.dst, c
-                    )
-                    rows = np.fromiter(rows_l, np.int64, count=c)
-                    act[rows] = kind
-                    didx[rows] = len(decisions)
-                    dec_append(payload)
-        elif uni_swap is not None:
-            if vec_tx:
-                iface = interfaces.get(uni_swap.out_ifname)
-                if iface is not None and iface.link is not None:
-                    self._apply_uniform_swap(items, cols, uni_swap, iface)
-                    return
-            # Missing egress (the generic loop drops each row with
-            # NO_IFACE) or a traced burst: the deferred uniform-SWAP
-            # writes become real.
-            act[:] = _A_SWAP
-            didx[:] = uni_didx
-        else:
-            pend = np.nonzero(act == _A_PENDING)[0]
-            if len(pend):
-                flow_cache = self.flow_cache
-                dst_l = cols.dst_keys()
-                plist = pend.tolist()
-                ukeys, buckets = group_rows(
-                    plist, [dst_l[r] for r in plist]
-                )
-                probed = flow_cache.probe_many(ukeys)
-                for g, key in enumerate(ukeys):
-                    rows_l = plist if buckets is None else buckets[g]
-                    c = len(rows_l)
-                    kind, payload = self._resolve_dst_group(
-                        probed[g], key, items[rows_l[0]][0].ip.dst, c
-                    )
-                    rows = np.fromiter(rows_l, np.int64, count=c)
-                    act[rows] = kind
-                    didx[rows] = len(decisions)
-                    dec_append(payload)
-
-        # ---- phase 5: in-order apply / materialization --------------
-        act_l = act.tolist()
-        didx_l = didx.tolist()
-        if ttl_l is None:
-            # Fused-decrement sentinel from a uniform shape that fell
-            # back here (ECMP spray, missing egress): every such shape
-            # decrements all rows, so do it in one pass now.
-            ttl_l = [t - 1 for t in cols.ttl_list]
-        wire_l = cols.wire_col()
-        interfaces = node.interfaces
-        drop = node.drop
-        deliver_local = node.deliver_local
-        transmit = node.transmit
-        name = node.name
-        now = self.sim.now
-        impose_exp = node.impose_exp if lfib is not None else None
-        lut = exp_lut()
-        run_name: str | None = None
-        run_iface: Any = None
-        run_pkts: list[Packet] | None = None
-        run_wire: list[int] | None = None
-
-        def tx_cold(pkt: Packet, out: str, w: int) -> None:
-            nonlocal run_name, run_iface, run_pkts, run_wire
-            iface = interfaces.get(out)
-            if iface is None or iface.link is None:
-                drop(pkt, DropReason.NO_IFACE)
-                return
-            if not vec_tx:
-                # Traced: per-packet send keeps the record interleave
-                # bit-identical to the scalar sequence (run_name stays
-                # None, so every row lands here).
-                stats.forwarded += 1
-                iface.send(pkt)
-                return
-            if run_name is not None:
-                stats.forwarded += len(run_pkts)
-                run_iface.send_batch(run_pkts, run_wire)
-            run_name = out
-            run_iface = iface
-            run_pkts = [pkt]
-            run_wire = [w]
-
-        def flush_run() -> None:
-            nonlocal run_name, run_iface, run_pkts, run_wire
-            if run_name is not None:
-                stats.forwarded += len(run_pkts)
-                run_iface.send_batch(run_pkts, run_wire)
-                run_name = run_iface = run_pkts = run_wire = None
-
-        i = 0
-        for pkt, ifname in items:
-            pkt.hops += 1
-            if fl is not None:
-                fl.rx(now, name, pkt, ifname)
-            a = act_l[i]
-            if a == _A_IP:
-                if popp is not None and popp[i]:
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "pop",
-                                    old=pkt.mpls_stack[-1].label)
-                    pkt.mpls_stack.pop()
-                    w = wire_l[i] - 4
-                    wire_l[i] = w
-                    pkt._wire = w
-                else:
-                    w = wire_l[i]
-                pkt.ip.ttl = ttl_l[i]
-                out = decisions[didx_l[i]]
-                if out == run_name:
-                    run_pkts.append(pkt)
-                    run_wire.append(w)
-                else:
-                    tx_cold(pkt, out, w)
-            elif a == _A_SWAP:
-                entry = decisions[didx_l[i]]
-                top = pkt.mpls_stack[-1]
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "swap",
-                                old=top.label, new=entry.out_label)
-                top.ttl = ttl_l[i]
-                top.label = entry.out_label
-                out = entry.out_ifname
-                if out == run_name:
-                    run_pkts.append(pkt)
-                    run_wire.append(wire_l[i])
-                else:
-                    tx_cold(pkt, out, wire_l[i])
-            elif a == _A_IMPOSE:
-                if popp is not None and popp[i]:
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "pop",
-                                    old=pkt.mpls_stack[-1].label)
-                    pkt.mpls_stack.pop()
-                    wire_l[i] -= 4
-                d = decisions[didx_l[i]]
-                labels = d[0]
-                t = ttl_l[i]
-                pkt.ip.ttl = t
-                e = impose_exp
-                if e is None:
-                    dv = pkt.ip.dscp
-                    e = lut[dv] if 0 <= dv < 64 else dscp_to_exp(dv)
-                stack = pkt.mpls_stack
-                for lbl in labels:
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "push", new=lbl)
-                    m = _NEW_MPLS(MplsEntry)
-                    m.label = lbl
-                    m.exp = e
-                    m.ttl = t
-                    stack.append(m)
-                w = wire_l[i] + 4 * len(labels)
-                wire_l[i] = w
-                pkt._wire = w
-                out = d[1]
-                if out == run_name:
-                    run_pkts.append(pkt)
-                    run_wire.append(w)
-                else:
-                    tx_cold(pkt, out, w)
-            elif a == _A_ECMP:
-                if popp is not None and popp[i]:
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "pop",
-                                    old=pkt.mpls_stack[-1].label)
-                    pkt.mpls_stack.pop()
-                    w = wire_l[i] - 4
-                    wire_l[i] = w
-                    pkt._wire = w
-                else:
-                    w = wire_l[i]
-                pkt.ip.ttl = ttl_l[i]
-                paths = decisions[didx_l[i]]
-                h = pkt.flow_hash_cache
-                if h is None:
-                    h = flow_hash(pkt)
-                out = paths[h % len(paths)][0]
-                if out == run_name:
-                    run_pkts.append(pkt)
-                    run_wire.append(w)
-                else:
-                    tx_cold(pkt, out, w)
-            elif a == _A_POP:
-                stack = pkt.mpls_stack
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop", old=stack[-1].label)
-                stack.pop()
-                t = ttl_l[i]
-                if stack:
-                    stack[-1].ttl = t
-                else:
-                    pkt.ip.ttl = t
-                w = wire_l[i] - 4
-                wire_l[i] = w
-                pkt._wire = w
-                out = decisions[didx_l[i]].out_ifname
-                if out == run_name:
-                    run_pkts.append(pkt)
-                    run_wire.append(w)
-                else:
-                    tx_cold(pkt, out, w)
-            elif a == _A_LOCAL:
-                flush_run()  # sinks may inject traffic
-                deliver_local(pkt)
-            elif a == _A_POPP_LOCAL:
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop",
-                                old=pkt.mpls_stack[-1].label)
-                pkt.pop_label()
-                flush_run()
-                deliver_local(pkt)
-            elif a == _A_VPN:
-                vrf = decisions[didx_l[i]]
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop",
-                                old=pkt.mpls_stack[-1].label)
-                pkt.pop_label()
-                if vrf is None:
-                    drop(pkt, DropReason.UNKNOWN_VRF)
-                else:
-                    flush_run()  # VPN egress transmits internally
-                    self._vpn_egress_vrf(pkt, vrf, fa)
-            elif a == _A_VRF:
-                vrf = decisions[didx_l[i]]
-                if fa is not None:
-                    fa.ingress(name, vrf.name, pkt)
-                t = ttl_l[i]
-                pkt.ip.ttl = t
-                if t <= 0:
-                    drop(pkt, DropReason.TTL)
-                else:
-                    route = self._vrf_lookup(vrf, pkt.ip.dst)
-                    if route is None:
-                        drop(pkt, DropReason.NO_VRF_ROUTE)
-                    else:
-                        flush_run()  # customer egress transmits internally
-                        if route.kind == "local":
-                            transmit(pkt, route.out_ifname)
-                        else:
-                            self.remote_stage(pkt, route)
-            elif a == _A_SLOW:
-                flush_run()
-                self._row_label_slow(pkt, decisions[didx_l[i]])
-            elif a == _A_DROPW:
-                t = ttl_l[i]
-                if popp is not None and popp[i]:
-                    # Scalar emits the pop record before the TTL/route
-                    # verdict on POP_PROCESS rows, so a traced drop still
-                    # carries it.
-                    if fl is not None:
-                        fl.label_op(now, name, pkt, "pop",
-                                    old=pkt.mpls_stack[-1].label)
-                    pkt.mpls_stack.pop()
-                    pkt.ip.ttl = t
-                    pkt._wire = None
-                elif pkt.mpls_stack:
-                    pkt.mpls_stack[-1].ttl = t
-                else:
-                    pkt.ip.ttl = t
-                drop(pkt, decisions[didx_l[i]])
-            else:  # _A_DROP: no header mutation happened before the drop
-                drop(pkt, decisions[didx_l[i]])
-            i += 1
-        flush_run()
-
-    def _resolve_dst_group(
-        self, decision: Any, key: int, dst: IPv4Address, c: int
-    ) -> tuple[int, Any]:
-        """Resolve one flow-cache group of ``c`` rows keyed by ``key``.
-
-        ``decision`` is the pre-gathered cache entry (``None`` on miss).
-        Returns ``(action, payload)``: ``_A_IP`` with an out-interface
-        name, ``_A_IMPOSE`` with ``(labels, out_ifname)``, ``_A_ECMP``
-        with the path list, or ``_A_DROPW`` with ``NO_ROUTE``.  Counter
-        arithmetic is the exact per-row scalar total: a miss costs one
-        real lookup plus ``c - 1`` hits, a hit costs ``c`` hits, and the
-        logical FIB lookup counter moves only on the plain-IP path —
-        identical to ``ip_stage`` called ``c`` times.
-        """
-        flow_cache = self.flow_cache
-        fib = self.fib
-        ftn = self.ftn
-        if decision is None:
-            flow_cache.misses += 1
-            if ftn is None:
-                route = fib.lookup(dst)
-                nhlfe = None
-            else:
-                match = fib.lookup_prefix(dst)
-                if match is None:
-                    route = nhlfe = None
-                else:
-                    prefix, route = match
-                    nhlfe = ftn.lookup(prefix)
-            flow_cache.put(key, (route, nhlfe))
-            flow_cache.hits += c - 1
-            if ftn is None:
-                fib.lookups += c - 1
-        else:
-            route, nhlfe = decision
-            flow_cache.hits += c
-            if ftn is None:
-                fib.lookups += c
-        if nhlfe is not None:
-            implicit_null = IMPLICIT_NULL
-            labels = [lbl for lbl in nhlfe.labels if lbl != implicit_null]
-            if labels:
-                return _A_IMPOSE, (labels, nhlfe.out_ifname)
-            return _A_IP, nhlfe.out_ifname
-        if route is None:
-            return _A_DROPW, DropReason.NO_ROUTE
-        if route.alternates:
-            return _A_ECMP, route.all_paths
-        return _A_IP, route.out_ifname
-
-    # ------------------------------------------------------------------
-    # Uniform apply loops: the whole burst shares one resolved decision
-    # (single dst group on an edge, single swap group in the core), so the
-    # action/didx bookkeeping and per-row dispatch of the generic apply
-    # pass collapse into one tight materialization loop ending in a single
-    # ``send_batch``.  Observable effects are row-for-row identical to the
-    # generic loop: hops, TTL write-back, header edits, counter and
-    # byte accounting all match (held by the parity suite).
-    # ------------------------------------------------------------------
-    def _apply_uniform_ip(
-        self, items: "list[tuple[Packet, str]]", cols: PacketColumns, iface
-    ) -> None:
-        """Whole burst routed unlabeled out one interface.
-
-        Reached only through the fused-decrement gate (no expiry), so
-        the TTL write is ``t - 1`` inline — the loop touches each packet
-        exactly twice (hops, ttl) before the batched egress hand-off.
-        The packet column is comprehension-built first so the hot loop
-        zips flat lists with no per-row tuple unpack.
-        """
-        wire = cols.wire_col()
-        out: list[Packet] = [p for p, _ in items]
-        for pkt, t in zip(out, cols.ttl_list):
-            pkt.hops += 1
-            pkt.ip.ttl = t - 1
-        self.node.stats.forwarded += len(out)
-        iface.send_batch(out, wire)
-
-    def _apply_uniform_swap(
-        self,
-        items: "list[tuple[Packet, str]]",
-        cols: PacketColumns,
-        entry: Any,
-        iface,
-    ) -> None:
-        """Whole burst = one SWAP group: the core-LSR hot shape."""
-        lbl = entry.out_label
-        wire = cols.wire_col()
-        out: list[Packet] = [p for p, _ in items]
-        for pkt, top, t in zip(out, cols.tops, cols.ttl_list):
-            pkt.hops += 1
-            top.ttl = t - 1
-            top.label = lbl
-        self.node.stats.forwarded += len(out)
-        iface.send_batch(out, wire)
-
-    def _apply_uniform_impose(
-        self,
-        items: "list[tuple[Packet, str]]",
-        cols: PacketColumns,
-        labels: list[int],
-        iface,
-    ) -> None:
-        """Whole burst imposes one (non-null) label stack: ingress-PE shape.
-
-        The wire column updates as one shifted comprehension; the packet
-        loop is specialized for the overwhelmingly common single-label
-        NHLFE so no inner iterator is set up per row.
-        """
-        node = self.node
-        wadd = 4 * len(labels)
-        wire_l = [w + wadd for w in cols.wire_col()]
-        lut = exp_lut()
-        e_fixed = node.impose_exp
-        out: list[Packet] = [p for p, _ in items]
-        if len(labels) == 1 and e_fixed is None:
-            # Hot variant: single-label NHLFE, per-packet DSCP→EXP copy
-            # (the DiffServ default) — no inner iterator, no fixed-EXP
-            # branch per row.
-            lbl = labels[0]
-            for pkt, t0, w in zip(out, cols.ttl_list, wire_l):
-                pkt.hops += 1
-                t = t0 - 1
-                ip = pkt.ip
-                ip.ttl = t
-                dv = ip.dscp
-                m = _NEW_MPLS(MplsEntry)
-                m.label = lbl
-                m.exp = lut[dv] if 0 <= dv < 64 else dscp_to_exp(dv)
-                m.ttl = t
-                pkt.mpls_stack.append(m)
-                pkt._wire = w
-        else:
-            for pkt, t0, w in zip(out, cols.ttl_list, wire_l):
-                pkt.hops += 1
-                t = t0 - 1
-                ip = pkt.ip
-                ip.ttl = t
-                e = e_fixed
-                if e is None:
-                    dv = ip.dscp
-                    e = lut[dv] if 0 <= dv < 64 else dscp_to_exp(dv)
-                stack = pkt.mpls_stack
-                for lbl in labels:
-                    m = _NEW_MPLS(MplsEntry)
-                    m.label = lbl
-                    m.exp = e
-                    m.ttl = t
-                    stack.append(m)
-                pkt._wire = w
-        node.stats.forwarded += len(out)
-        iface.send_batch(out, wire_l)
-
-    def _apply_uniform_noroute(
-        self, items: "list[tuple[Packet, str]]", cols: PacketColumns
-    ) -> None:
-        """Whole burst unroutable: TTL write-back then per-row drop."""
-        drop = self.node.drop
-        for (pkt, _ifname), t in zip(items, cols.ttl_list):
-            pkt.hops += 1
-            pkt.ip.ttl = t - 1
-            drop(pkt, DropReason.NO_ROUTE)
-
-    def _row_label_slow(self, pkt: Packet, entry: Any) -> None:
-        """Scalar continuation for exotic label rows in a columnar burst.
-
-        Entered with the top entry already resolved *and counted* by the
-        group gather; everything from the op dispatch on is exactly
-        :meth:`mpls_stage`, flight records included.  Handles whatever op
-        chain the inner labels produce, including SWAP/POP under a
-        multi-level ``POP_PROCESS``, and ends in the scalar
-        :meth:`ip_stage` whose per-row cache probe is identical to what
-        the scalar loop does.
-        """
-        node = self.node
-        lfib = self.lfib
-        cache = self.label_cache
-        fl = node.trace.flight
-        now = self.sim.now
-        name = node.name
-        while True:
-            op = entry.op
-            label = pkt.mpls_stack[-1].label
-            if op is LabelOp.SWAP_PUSH:
-                if pkt.decrement_ttl() <= 0:
-                    node.drop(pkt, DropReason.TTL)
-                    return
-                exp = pkt.mpls_stack[-1].exp
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "swap",
-                                old=label, new=entry.out_label)
-                    fl.label_op(now, name, pkt, "push",
-                                new=entry.push_label)
-                pkt.swap_label(entry.out_label)
-                pkt.push_label(entry.push_label, exp=exp)
-                node.transmit(pkt, entry.out_ifname)
-                return
-            if op is LabelOp.POP_PROCESS:
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop", old=label)
-                pkt.pop_label()
-                if not pkt.mpls_stack:
-                    if node.owns(pkt.ip.dst):
-                        node.deliver_local(pkt)
-                    else:
-                        self.ip_stage(pkt)
-                    return
-                label = pkt.mpls_stack[-1].label
-                entry = cache.get(label)
-                if entry is None:
-                    entry = lfib.lookup(label)
-                    if entry is None:
-                        node.drop(pkt, DropReason.NO_LABEL)
-                        return
-                    cache.put(label, entry)
-                else:
-                    lfib.lookups += 1
-                continue
-            if op is LabelOp.SWAP:
-                if pkt.decrement_ttl() <= 0:
-                    node.drop(pkt, DropReason.TTL)
-                    return
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "swap",
-                                old=label, new=entry.out_label)
-                pkt.swap_label(entry.out_label)
-                node.transmit(pkt, entry.out_ifname)
-                return
-            if op is LabelOp.POP:
-                if pkt.decrement_ttl() <= 0:
-                    node.drop(pkt, DropReason.TTL)
-                    return
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop", old=label)
-                pkt.pop_label()
-                node.transmit(pkt, entry.out_ifname)
-                return
-            if op is LabelOp.VPN:
-                if fl is not None:
-                    fl.label_op(now, name, pkt, "pop", old=label)
-                pkt.pop_label()
-                vpn_deliver = node.vpn_deliver
-                if vpn_deliver is None:
-                    node.drop(pkt, DropReason.VPN_LABEL_NO_VRF)
-                else:
-                    vpn_deliver(pkt, entry.vrf)
-                return
-            node.drop(pkt, DropReason.BAD_LFIB_OP)  # pragma: no cover
-            return
+            self.node.receive(pkt, ifname)
 
     # ------------------------------------------------------------------
     # Label-op stage (MPLS fast path)
@@ -1673,15 +456,7 @@ class ForwardingPipeline:
         if vrf is None:
             node.drop(pkt, DropReason.UNKNOWN_VRF)
             return
-        self._vpn_egress_vrf(pkt, vrf, node.trace.flows)
-
-    def _vpn_egress_vrf(self, pkt: Packet, vrf, fa) -> None:
-        """Egress tail with the VRF already resolved.
-
-        The batch path enters here directly, with ``fa`` hoisted per
-        burst and the VRF object memoized across the burst's packets.
-        """
-        node = self.node
+        fa = node.trace.flows
         if fa is not None:
             fa.egress(node.name, vrf.name, pkt)
         route = self._vrf_lookup(vrf, pkt.ip.dst)

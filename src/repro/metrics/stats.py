@@ -166,7 +166,7 @@ def summarize_hybrid_flow(
     as that constant-delay population would.  Jitter is computed from the
     packet samples only (the fluid regime has zero jitter by
     construction; with no packet samples it reports 0.0) — one of the
-    documented bit-inexactness points of hybrid mode (ARCHITECTURE §12).
+    documented bit-inexactness points of hybrid mode (ARCHITECTURE §11).
     """
     rec: FlowRecord = sink.record(agg.flow)
     pkt_delays = rec.delays_array()

@@ -98,22 +98,6 @@ class Link:
             return
         self.sim.schedule_call(self.delay_s, self.dst_node.receive, pkt, self.dst_ifname)
 
-    def carry_batch(self, pkts: "list[Packet]") -> None:
-        """Propagate a burst: one arrival event per packet, same timestamp.
-
-        The scheduled events are bound ``Node.receive`` calls on one
-        receiver, which is exactly what the kernel's burst extraction
-        fuses back into a single ``receive_batch`` at the far end.
-        """
-        if not self._up:
-            return
-        schedule_call = self.sim.schedule_call
-        delay = self.delay_s
-        receive = self.dst_node.receive
-        ifname = self.dst_ifname
-        for pkt in pkts:
-            schedule_call(delay, receive, pkt, ifname)
-
 
 class Interface:
     """A node's egress attachment: conditioners + queue discipline + transmitter.
@@ -288,66 +272,10 @@ class Interface:
                     )
         return True
 
-    def send_batch(self, pkts: "list[Packet]", wire: "list[int] | None" = None) -> None:
-        """Enqueue a burst of packets; scalar-exact, loads hoisted.
-
-        While the transmitter is idle (or regulated) each enqueue may
-        trigger an immediate dequeue, so the prefix runs packet-at-a-time
-        with the same kick logic as :meth:`send`.  Once the transmitter is
-        busy the scalar path would do nothing but back-to-back enqueues —
-        that tail goes through the queue discipline's vector enqueue (per-
-        packet AQM verdicts preserved), or a hoisted loop when the flight
-        recorder needs its per-packet backlog records.
-
-        ``wire``, when given, is the columnar pipeline's wire-bytes column
-        aligned with ``pkts``: per-row it always equals ``pkt.wire_bytes``
-        (the pipeline maintains both), so the queue discipline's bulk
-        admission can sum bytes without touching the packet objects.
-        """
-        if self.conditioners:
-            send = self.send
-            for pkt in pkts:
-                send(pkt)
-            return
-        now = self.sim.now
-        stats = self.stats
-        fl = self.node.trace.flight
-        n = len(pkts)
-        i = 0
-        while i < n and (not self._busy or self._retry_event is not None):
-            pkt = pkts[i]
-            i += 1
-            if self._retry_event is not None:
-                self.send(pkt)  # regulated: full coalesced-timer logic
-                continue
-            qdisc = self._qdisc
-            if not qdisc.enqueue(pkt, now):
-                stats.dropped += 1
-                continue
-            stats.enqueued += 1
-            if fl is not None:
-                fl.enqueue(now, self.node.name, pkt, self.name, len(qdisc))
-            if not self._busy:
-                self._transmit_next()
-        if i == n:
-            return
-        qdisc = self._qdisc
-        if fl is not None:
-            nname = self.node.name
-            iname = self.name
-            enqueue = qdisc.enqueue
-            while i < n:
-                pkt = pkts[i]
-                i += 1
-                if enqueue(pkt, now):
-                    stats.enqueued += 1
-                    fl.enqueue(now, nname, pkt, iname, len(qdisc))
-                else:
-                    stats.dropped += 1
-            return
-        ok = qdisc.enqueue_batch(pkts, now, i, wire)
-        stats.enqueued += ok
-        stats.dropped += (n - i) - ok
+    def send_batch(self, pkts: "list[Packet]") -> None:
+        # Kept because the benchmark tracer names it; nothing here calls it.
+        for pkt in pkts:
+            self.send(pkt)
 
     # ------------------------------------------------------------------
     def _transmit_next(self) -> None:

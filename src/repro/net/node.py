@@ -28,8 +28,6 @@ __all__ = [
     "Host",
     "ProcessingModel",
     "NodeStats",
-    "install_vector_dispatch",
-    "remove_vector_dispatch",
 ]
 
 
@@ -147,25 +145,9 @@ class Node:
         raise NotImplementedError
 
     def receive_batch(self, items: list[tuple[Packet, str]]) -> None:
-        """Vector arrival entry point: a burst of same-time ``(pkt, ifname)``
-        arrivals fused by the kernel (see ``install_vector_dispatch``).
-
-        The base implementation is the scalar loop, so any node type is
-        batch-safe by construction; fast-path nodes (``Host`` here,
-        ``Router`` via the forwarding pipeline) override it with a hoisted
-        loop that must stay observationally identical — the flight-recorder
-        interleave per packet is part of the contract
-        (``tests/test_dataplane_batch.py``).
-        """
-        receive = self.receive
+        # Kept because the benchmark tracer names it; nothing here calls it.
         for pkt, ifname in items:
-            receive(pkt, ifname)
-
-    def handle_batch(self, items: list[tuple[Packet, str]]) -> None:
-        """Dispatch a received burst; scalar-exact default."""
-        handle = self.handle
-        for pkt, ifname in items:
-            handle(pkt, ifname)
+            self.receive(pkt, ifname)
 
     # ------------------------------------------------------------------
     # Helpers for subclasses
@@ -223,26 +205,6 @@ class Node:
         self.stats.forwarded += 1
         iface.send(pkt)
 
-    def transmit_batch(
-        self, pkts: list[Packet], ifname: str, wire: list[int] | None = None
-    ) -> None:
-        """Queue a burst of packets on one egress interface.
-
-        Same per-packet semantics as :meth:`transmit` (the interface keeps
-        enqueue→kick ordering scalar-exact); the batch form exists so the
-        pipeline's vector path pays one interface call per egress run.
-        ``wire`` threads the columnar pipeline's wire-bytes column through
-        to the queue discipline's bulk byte accounting.
-        """
-        iface = self.interfaces.get(ifname)
-        if iface is None or iface.link is None:
-            drop = self.drop
-            for pkt in pkts:
-                drop(pkt, DropReason.NO_IFACE)
-            return
-        self.stats.forwarded += len(pkts)
-        iface.send_batch(pkts, wire)
-
     def after_processing(self, cost_s: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` after a modeled CPU cost (immediately when zero).
 
@@ -279,26 +241,6 @@ class Host(Node):
             return
         self.send(pkt)
 
-    def receive_batch(self, items: list[tuple[Packet, str]]) -> None:
-        # Hoisted deliver-or-forward loop.  With the flight recorder
-        # attached the scalar path runs instead: the per-packet rx record
-        # must interleave with delivery records exactly as in scalar mode.
-        if self.trace.flight is not None:
-            receive = self.receive
-            for pkt, ifname in items:
-                receive(pkt, ifname)
-            return
-        self.stats.rx_packets += len(items)
-        addresses = self.addresses
-        deliver = self.deliver_local
-        send = self.send
-        for pkt, _ifname in items:
-            pkt.hops += 1
-            if pkt.ip.dst in addresses:
-                deliver(pkt)
-            else:
-                send(pkt)
-
     def send(self, pkt: Packet) -> None:
         """Originate (or forward) a packet via the configured gateway."""
         out = self.gateway_ifname
@@ -308,46 +250,3 @@ class Host(Node):
                 return
             out = next(iter(self.interfaces))
         self.transmit(pkt, out)
-
-    def send_batch(self, pkts: list[Packet]) -> None:
-        """Originate a burst via the gateway with one interface call.
-
-        Detected by the traffic sources (``repro.traffic.generators``):
-        a multi-packet emission tick funnels through here instead of N
-        ``send`` calls.
-        """
-        out = self.gateway_ifname
-        if out is None:
-            if len(self.interfaces) != 1:
-                drop = self.drop
-                for pkt in pkts:
-                    drop(pkt, DropReason.NO_ROUTE)
-                return
-            out = next(iter(self.interfaces))
-        self.transmit_batch(pkts, out)
-
-
-def _vector_dispatch(owner: Node, batch: list[tuple[Packet, str]]) -> None:
-    owner.receive_batch(batch)
-
-
-def install_vector_dispatch(sim: Simulator) -> None:
-    """Enable burst extraction on ``sim``: same-time ``Node.receive``
-    arrivals at one node are fused into a ``receive_batch`` call.
-
-    Wired by ``Network.__init__`` when ``obs.runtime.vector_mode_enabled()``
-    (the default); ``remove_vector_dispatch`` restores pure scalar dispatch
-    (the parity oracle in ``tests/test_dataplane_batch.py`` runs both).
-    No-op on kernels without burst extraction (the frozen reference engine
-    in ``repro.sim.reference``, which is scalar by definition).
-    """
-    set_target = getattr(sim, "set_batch_target", None)
-    if set_target is not None:
-        set_target(Node.receive, _vector_dispatch)
-
-
-def remove_vector_dispatch(sim: Simulator) -> None:
-    """Disable burst extraction on ``sim`` (see ``install_vector_dispatch``)."""
-    set_target = getattr(sim, "set_batch_target", None)
-    if set_target is not None:
-        set_target(None)

@@ -29,8 +29,6 @@ __all__ = [
     "reset",
     "set_packet_counters",
     "packet_counters_enabled",
-    "set_vector_mode",
-    "vector_mode_enabled",
     "set_slo",
     "slo_enabled",
     "set_spans",
@@ -41,7 +39,6 @@ __all__ = [
 _enabled = False
 _options: dict[str, Any] = {}
 _sessions: list[Telemetry] = []
-_vector_mode = True
 _slo = False
 _spans = False
 
@@ -120,26 +117,6 @@ def packet_counters_enabled() -> bool:
     return queues.COUNTERS
 
 
-def set_vector_mode(on: bool) -> None:
-    """Choose the data-plane dispatch for *subsequently built* networks.
-
-    On (the default), ``Network.__init__`` installs the kernel's burst
-    extraction (``repro.net.node.install_vector_dispatch``): same-time
-    arrivals at one node are fused into a ``receive_batch`` vector.  Off
-    forces pure scalar dispatch — the parity oracle.  Both paths are
-    required to produce bit-identical traces (tests/test_dataplane_batch.py),
-    so this switch changes speed, never results.  Existing networks are
-    unaffected; flip their simulator directly via
-    ``install_vector_dispatch``/``remove_vector_dispatch``.
-    """
-    global _vector_mode
-    _vector_mode = bool(on)
-
-
-def vector_mode_enabled() -> bool:
-    return _vector_mode
-
-
 def set_slo(on: bool) -> None:
     """Arm the streaming SLO engine for subsequently attached sessions.
 
@@ -175,12 +152,11 @@ def spans_enabled() -> bool:
 def flags() -> dict[str, bool]:
     """The process-wide observability switch state, for manifests.
 
-    A manifest must fully determine the run configuration; these four
-    switches are the ones that change what a run collects (or how it
-    dispatches packets) without appearing anywhere else in the config.
+    A manifest must fully determine the run configuration; these three
+    switches are the ones that change what a run collects without
+    appearing anywhere else in the config.
     """
     return {
-        "vector_mode": _vector_mode,
         "packet_counters": packet_counters_enabled(),
         "slo": _slo,
         "spans": _spans,

@@ -4,7 +4,7 @@ No ``jsonschema`` dependency: each validator walks a decoded JSON
 document and returns a list of human-readable problems (empty when the
 document is valid).
 
-:func:`validate_manifest` checks ``repro.telemetry/v1``; two document
+:func:`validate_manifest` checks ``repro.telemetry/v2``; two document
 kinds share that schema id:
 
 * ``kind == "run"`` — one network's manifest, produced by
@@ -29,7 +29,7 @@ SPAN_SCHEMA_ID = "repro.spans/v1"
 
 _FLOW_KEYS = {"pe", "vrf", "direction", "class", "packets", "bytes"}
 _FLIGHT_KEYS = {"capacity", "buffered", "recorded_total", "aged_out"}
-_OBS_RUNTIME_KEYS = {"vector_mode", "packet_counters", "slo", "spans"}
+_OBS_RUNTIME_KEYS = {"packet_counters", "slo", "spans"}
 
 
 def _err(errors: list[str], where: str, msg: str) -> None:

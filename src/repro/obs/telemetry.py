@@ -7,7 +7,7 @@ the kernel profiler to its simulator; :meth:`scrape` walks the live
 node/interface/class counters into labeled gauge families; and
 :meth:`manifest` folds everything — seed, git revision, config, metrics,
 kernel profile, flow tables, flight-recorder summary — into one
-JSON-serialisable run manifest (schema ``repro.telemetry/v1``, checked by
+JSON-serialisable run manifest (schema ``repro.telemetry/v2``, checked by
 :mod:`repro.obs.schema`).
 
 Scrapes populate *gauges* with absolute values so re-scraping is
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (topology imports us)
 
 __all__ = ["Telemetry", "SCHEMA_ID"]
 
-SCHEMA_ID = "repro.telemetry/v1"
+SCHEMA_ID = "repro.telemetry/v2"
 
 _git_rev_cache: str | None | bool = False  # False = not looked up yet
 
@@ -221,7 +221,6 @@ class Telemetry:
         inval = reg.gauge(
             "repro_cache_invalidations", "Generation-bump invalidations", lab
         )
-        evict = reg.gauge("repro_cache_evictions", "Capacity evictions", lab)
         entries = reg.gauge("repro_cache_entries", "Entries currently cached", lab)
 
         def emit(node_name: str, cache_name: str, stats: dict[str, int]) -> None:
@@ -229,7 +228,6 @@ class Telemetry:
             hits.labels(**clab).set(stats["hits"])
             miss.labels(**clab).set(stats["misses"])
             inval.labels(**clab).set(stats["invalidations"])
-            evict.labels(**clab).set(stats["evictions"])
             entries.labels(**clab).set(stats["entries"])
 
         for router in sorted(self.net.routers(), key=lambda r: r.name):

@@ -115,35 +115,6 @@ class QueueDiscipline:
     def enqueue(self, pkt: Packet, now: float) -> bool:
         raise NotImplementedError
 
-    def enqueue_batch(
-        self,
-        pkts: Sequence[Packet],
-        now: float,
-        start: int = 0,
-        wire: Sequence[int] | None = None,
-    ) -> int:
-        """Enqueue ``pkts[start:]`` in order; returns how many were accepted.
-
-        Per-packet admission (AQM verdicts, tail-drop checks, drop
-        callbacks) runs in arrival order exactly as repeated
-        :meth:`enqueue` calls would — the batch form only amortizes
-        attribute loads, so the driving interface may use it whenever the
-        scalar path would do back-to-back enqueues with no dequeue in
-        between (i.e. while the transmitter is busy).
-
-        ``wire`` is the columnar pipeline's precomputed wire-bytes column
-        aligned with ``pkts`` (``wire[i] == pkts[i].wire_bytes`` by the
-        pipeline's invariant); disciplines may use it to batch their byte
-        accounting without re-reading the packets.  The default
-        implementation ignores it.
-        """
-        enqueue = self.enqueue
-        ok = 0
-        for i in range(start, len(pkts)):
-            if enqueue(pkts[i], now):
-                ok += 1
-        return ok
-
     def dequeue(self, now: float) -> Optional[Packet]:
         raise NotImplementedError
 
@@ -230,71 +201,6 @@ class DropTailFifo(QueueDiscipline):
         if COUNTERS:
             self.stats.enqueued += 1
         return True
-
-    def enqueue_batch(
-        self,
-        pkts: Sequence[Packet],
-        now: float,
-        start: int = 0,
-        wire: Sequence[int] | None = None,
-    ) -> int:
-        # Columnar bulk admission: with no AQM, no byte bound, and packet
-        # headroom for the whole tail, every verdict is "accept" and no
-        # drop callback can fire — one deque.extend and a C-level sum over
-        # the wire column replace the per-packet walk.  Any condition that
-        # could produce a per-packet verdict falls through to the hoisted
-        # loop below, which stays scalar-exact.
-        if wire is not None and self.drop_policy is None and self.capacity_bytes is None:
-            tail = len(pkts) - start
-            if (
-                self.capacity_packets is None
-                or len(self._q) + tail <= self.capacity_packets
-            ):
-                if start:
-                    pkts = pkts[start:]
-                    wire = wire[start:]
-                self._q.extend(pkts)
-                self._bytes += sum(wire)
-                if COUNTERS:
-                    self.stats.enqueued += tail
-                return tail
-        # Hoisted vector form of enqueue(): verdicts (AQM first, then the
-        # capacity limits) and drop callbacks stay per packet in arrival
-        # order; only the byte counter and ClassStats bumps are batched.
-        q = self._q
-        policy = self.drop_policy
-        cap_p = self.capacity_packets
-        cap_b = self.capacity_bytes
-        counters = COUNTERS
-        stats = self.stats
-        on_drop = self.on_drop
-        nbytes = self._bytes
-        fsb = self.fluid_standing_bytes
-        ok = 0
-        for i in range(start, len(pkts)):
-            pkt = pkts[i]
-            wb = pkt.wire_bytes
-            if policy is not None and policy.should_drop(pkt, nbytes + fsb, now):
-                if counters:
-                    stats.dropped += 1
-                    if on_drop is not None:
-                        on_drop(pkt, DropReason.QUEUE_AQM, now)
-                continue
-            if (cap_p is not None and len(q) >= cap_p) or (
-                cap_b is not None and nbytes + wb + fsb > cap_b
-            ):
-                if counters:
-                    stats.dropped += 1
-                    if on_drop is not None:
-                        on_drop(pkt, DropReason.QUEUE_TAIL, now)
-                continue
-            q.append(pkt)
-            nbytes += wb
-            ok += 1
-        self._bytes = nbytes
-        if counters:
-            stats.enqueued += ok
-        return ok
 
     def dequeue(self, now: float) -> Optional[Packet]:
         if not self._q:

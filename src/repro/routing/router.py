@@ -38,12 +38,6 @@ class Router(Node):
     def handle(self, pkt: Packet, ifname: str) -> None:
         self.pipeline.ingress(pkt, ifname)
 
-    def receive_batch(self, items: list[tuple[Packet, str]]) -> None:
-        # Vector arrival (kernel burst extraction): the pipeline inlines
-        # the receive prologue and every stage in one hoisted loop, with
-        # scalar-identical per-packet semantics.
-        self.pipeline.ingress_batch(items)
-
     def dispatch(self, pkt: Packet, entry: RouteEntry) -> None:
         """Send ``pkt`` out the interface selected by ``entry`` (ECMP-aware).
 

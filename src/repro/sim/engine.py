@@ -22,20 +22,6 @@ events outnumber live ones the buckets are compacted in place, so
 cancel-heavy workloads (shaper retries, restartable protocol timers) can
 no longer grow the heap without bound.
 
-Burst extraction (the data plane's vector fast path): when a batch
-target is installed (:meth:`Simulator.set_batch_target`), the run loop
-recognises *consecutive* events in one timestamp bucket that are bound-
-method calls of the registered function on the same receiver — in
-practice ``Node.receive`` arrivals delivered by links — and hands their
-argument tuples to the batch dispatcher as one vector instead of firing
-them one by one.  Only an unbroken run from the bucket head is fused
-(an interposed foreign event ends the burst), so the fused call is
-observationally identical to firing the events in FIFO order; the saving
-is one run-loop iteration and one callback frame per burst instead of
-per packet.  Without a batch target (the default) the probe costs a
-single attribute load on multi-event buckets and nothing at all on the
-dominant singleton case.
-
 The kernel is deliberately single-threaded and allocation-light: the hot
 loop is one bucket pop + one callback invocation, with every loop-
 invariant attribute hoisted into a local.  Profiling (per the
@@ -50,7 +36,6 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from types import MethodType
 from typing import Any, Callable, Iterable
 
 __all__ = ["Event", "Periodic", "Simulator", "SimulationError", "Timer"]
@@ -170,13 +155,6 @@ class Simulator:
         # mirroring the TraceBus no-subscriber fast path.
         self._profile_hook: Callable[[Event], None] | None = None
         self._id_counters: dict[str, int] = {}
-        # Vector fast path: when ``_batch_func`` is a plain function, the
-        # run loop fuses consecutive same-bucket events whose callback is
-        # a bound method of that function on one receiver, and calls
-        # ``_batch_dispatch(receiver, [args, ...])`` instead.  Installed
-        # by repro.net.node.install_vector_dispatch; None = scalar.
-        self._batch_func: Callable[..., None] | None = None
-        self._batch_dispatch: Callable[[Any, list], None] | None = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -442,66 +420,6 @@ class Simulator:
                 bucket = buckets.pop(t)
                 if type(bucket) is deque:
                     event = bucket.popleft()
-                    bfunc = self._batch_func
-                    if (
-                        bfunc is not None
-                        and bucket
-                        and not event.cancelled
-                        and self._profile_hook is None
-                    ):
-                        cb = event.callback
-                        if type(cb) is MethodType and cb.__func__ is bfunc:
-                            # Burst extraction (module docstring): fuse the
-                            # unbroken run of arrivals at one receiver from
-                            # the bucket head.  Tombstones inside the run
-                            # are consumed — they would be skipped anyway —
-                            # but the first live foreign event ends it.
-                            owner = cb.__self__
-                            batch = [event.args]
-                            while bucket:
-                                nxt = bucket[0]
-                                if nxt.cancelled:
-                                    bucket.popleft()
-                                    nxt._sim = None
-                                    self._size -= 1
-                                    self._dead -= 1
-                                    continue
-                                ncb = nxt.callback
-                                if (
-                                    type(ncb) is MethodType
-                                    and ncb.__func__ is bfunc
-                                    and ncb.__self__ is owner
-                                ):
-                                    bucket.popleft()
-                                    nxt._sim = None
-                                    self._size -= 1
-                                    batch.append(nxt.args)
-                                    continue
-                                break
-                            if bucket:
-                                buckets[t] = bucket
-                            else:
-                                heappop(times)
-                                if len(spare) < _SPARE_DEQUES:
-                                    spare.append(bucket)
-                            self._size -= 1
-                            event._sim = None
-                            self.now = t
-                            if len(batch) > 1:
-                                self._batch_dispatch(owner, batch)
-                            else:
-                                args = event.args
-                                if args:
-                                    event.callback(*args)
-                                else:
-                                    event.callback()
-                            processed += len(batch)
-                            budget -= len(batch)
-                            if budget < 0:
-                                raise SimulationError(
-                                    f"max_events={max_events} exceeded at t={self.now}"
-                                )
-                            continue
                     if bucket:
                         buckets[t] = bucket
                     else:
@@ -582,27 +500,6 @@ class Simulator:
     def stop(self) -> None:
         """Request the running :meth:`run` loop to stop after the current event."""
         self._stop_requested = True
-
-    def set_batch_target(
-        self,
-        func: Callable[..., None] | None,
-        dispatch: Callable[[Any, list], None] | None = None,
-    ) -> None:
-        """Install (or clear, with ``None``) the burst-extraction target.
-
-        ``func`` is a plain function — in practice ``Node.receive`` — and
-        ``dispatch(receiver, [args, ...])`` is invoked in its place when
-        the run loop finds consecutive same-bucket events that are bound
-        methods of ``func``: one call per unbroken run, argument tuples in
-        FIFO order.  ``dispatch`` must be observationally equivalent to
-        ``for args in batch: func(receiver, *args)`` for traces to stay
-        bit-identical to the scalar path (held to it by
-        ``tests/test_dataplane_batch.py``).
-        """
-        if func is not None and dispatch is None:
-            raise SimulationError("set_batch_target requires a dispatch function")
-        self._batch_func = func
-        self._batch_dispatch = dispatch if func is not None else None
 
     def every(
         self,

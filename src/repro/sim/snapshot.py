@@ -60,8 +60,7 @@ Telemetry sessions are intentionally *not* snapshotted: a session holds
 process-global hooks (profiler, flight ring) whose lifecycle belongs to
 the process, not the network.  Snapshotting a network with an attached
 session raises; restore re-attaches a fresh session if the process-wide
-telemetry switch is on, and re-syncs vector dispatch to the current
-process switch — same rules as ``Network.__init__``.
+telemetry switch is on — the same rule as ``Network.__init__``.
 """
 
 from __future__ import annotations
@@ -273,11 +272,9 @@ def restore_network(blob: bytes) -> tuple[Any, dict[str, Any]]:
     """Rebuild the ``(net, extras)`` graph from a snapshot blob.
 
     Validates the header (schema, repro version, Python version) before
-    touching the payload, then re-applies the process-scoped switches the
+    touching the payload, then re-applies the process-scoped switch the
     pickle deliberately excludes: a fresh telemetry session is attached if
-    the process-wide switch is on, and kernel vector dispatch is synced to
-    the current ``repro.obs.runtime.set_vector_mode`` setting — the same
-    two steps ``Network.__init__`` performs.
+    the process-wide switch is on, as ``Network.__init__`` does.
     """
     header, off = _parse_header(blob)
     _check_header(header)
@@ -287,15 +284,9 @@ def restore_network(blob: bytes) -> tuple[Any, dict[str, Any]]:
         raise SnapshotError(f"snapshot payload failed to load: {exc!r}") from exc
     net, extras = payload["net"], payload["extras"]
 
-    from repro.obs.runtime import attach_if_enabled, vector_mode_enabled
+    from repro.obs.runtime import attach_if_enabled
 
     net.telemetry = attach_if_enabled(net)
-    from repro.net.node import install_vector_dispatch, remove_vector_dispatch
-
-    if vector_mode_enabled():
-        install_vector_dispatch(net.sim)
-    else:
-        remove_vector_dispatch(net.sim)
     return net, extras
 
 

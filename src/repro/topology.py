@@ -157,17 +157,9 @@ class Network:
         # ``None`` unless the process-wide telemetry switch is on (see
         # repro.obs.runtime); imported late so repro.topology stays importable
         # without pulling the whole observability stack into every user.
-        from repro.obs.runtime import attach_if_enabled, vector_mode_enabled
+        from repro.obs.runtime import attach_if_enabled
 
         self.telemetry = attach_if_enabled(self)
-        # Vector fast path (default on): fuse same-time arrivals at one
-        # node into a receive_batch vector.  Observationally identical to
-        # scalar dispatch; repro.obs.runtime.set_vector_mode(False) forces
-        # the scalar parity oracle for networks built afterwards.
-        if vector_mode_enabled():
-            from repro.net.node import install_vector_dispatch
-
-            install_vector_dispatch(self.sim)
 
     # ------------------------------------------------------------------
     # Node management

@@ -24,7 +24,7 @@ envelope redraws come from named RNG streams
 exactly repeatable and variance-isolated from the packet plane's draws.
 
 What hybrid mode preserves, and what it abstracts (the parity contract
-of ``tests/test_hybrid_parity.py``; see docs/ARCHITECTURE.md §12):
+of ``tests/test_hybrid_parity.py``; see docs/ARCHITECTURE.md §11):
 
 * Packets that cross a congested hop are *real* from the first such hop
   onward — their creation timestamps reproduce the source's emission
@@ -344,7 +344,7 @@ class FluidRouter:
     Paths are computed from the network graph by metric-weighted
     shortest path — the same criterion SPF uses — so envelopes follow
     the FIB/LFIB paths of the converged network.  ECMP limitation: one
-    representative path per aggregate (documented in ARCHITECTURE §12).
+    representative path per aggregate (documented in ARCHITECTURE §11).
     """
 
     def __init__(

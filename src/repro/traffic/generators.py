@@ -94,20 +94,6 @@ class TrafficSource:
         self.bytes_sent = 0
         self._running = False
         self._stop_at: float | None = None
-        # Vector emission: when ``send`` is a node's stock bound ``send``
-        # and the node offers ``send_batch`` (Host does), a multi-packet
-        # train is injected with one call instead of one per packet.
-        # Customized send callables (test sinks, wrappers) always get the
-        # scalar per-packet path.
-        self._send_batch: Callable[[list[Packet]], None] | None = None
-        owner = getattr(send, "__self__", None)
-        if owner is not None and getattr(send, "__func__", None) is getattr(
-            type(owner), "send", None
-        ):
-            from repro.obs.runtime import vector_mode_enabled
-
-            if vector_mode_enabled():
-                self._send_batch = getattr(owner, "send_batch", None)
 
     # ------------------------------------------------------------------
     def start(self, at: float = 0.0, stop_at: float | None = None) -> None:
@@ -152,33 +138,6 @@ class TrafficSource:
         # the timestamp) and schedules a single follow-up event; the gaps
         # the train would have consumed are summed into that one delay.
         gap: Optional[float] = None
-        send_batch = self._send_batch
-        if send_batch is not None and self.burst > 1:
-            # Vector emission: build the train, inject it with one call.
-            # Packet contents, seq numbers, and RNG draws are identical to
-            # the scalar interleave — a gap draw neither reads nor affects
-            # anything a send touches.
-            train: list[Packet] = []
-            append = train.append
-            make = self._make_packet
-            next_gap = self.next_gap
-            for _ in range(self.burst):
-                pkt = make(now)
-                self.sent += 1
-                self.bytes_sent += pkt.wire_bytes
-                append(pkt)
-                step = next_gap()
-                if step is None:
-                    gap = None
-                    break
-                gap = step if gap is None else gap + step
-            if len(train) == 1:
-                self._send(train[0])
-            else:
-                send_batch(train)
-            if gap is not None:
-                self.sim.schedule(gap, self._emit)
-            return
         for _ in range(self.burst):
             pkt = self._make_packet(now)
             self.sent += 1

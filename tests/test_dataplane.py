@@ -380,9 +380,13 @@ class TestPipelineParity:
             got = []
             n[2].add_local_sink(got.append)
             p = pkt(dst=str(n[2].loopback), ttl=64)
+            # Same-time arrival with TTL 1: dies at n0, p is unaffected.
+            dying = pkt(dst=str(n[2].loopback), ttl=1)
             net.sim.schedule(0.0, lambda: n[0].handle(p, "in"))
+            net.sim.schedule(0.0, lambda: n[0].handle(dying, "in"))
             net.run(until=net.sim.now + 1.0)
-            assert len(got) == 1
+            assert len(got) == 1 and got[0] is p
+            assert n[0].stats.dropped_ttl == 1
             results[factory.__name__] = (got[0].ip.ttl, got[0].hops,
                                          n[1].stats.forwarded)
         assert len(set(results.values())) == 1

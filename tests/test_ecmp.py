@@ -88,27 +88,30 @@ class TestEcmpRoutes:
 
 class TestEcmpForwarding:
     def test_flows_spread_and_do_not_reorder(self):
-        net, s, m1, m2, t = diamond()
-        tx = attach_host(net, s, "10.66.0.1", name="tx")
-        rx = attach_host(net, t, "10.66.0.2", name="rx")
-        converge(net, ecmp=True)
-        sink = FlowSink(net.sim).attach(rx)
-        sources = []
-        for i in range(8):
-            src = CbrSource(net.sim, tx.send, f"f{i}", "10.66.0.1", "10.66.0.2",
-                            payload_bytes=200, rate_bps=0.5e6,
-                            src_port=1000 + i, dst_port=80)
-            src.start(0.0, stop_at=1.0)
-            sources.append(src)
-        net.run(until=2.0)
-        # Both branches carried traffic.
-        assert m1.stats.rx_packets > 0
-        assert m2.stats.rx_packets > 0
-        # Every flow fully delivered in order (single path per flow).
-        for i, src in enumerate(sources):
-            rec = sink.record(f"f{i}")
-            assert rec.count == src.sent
-            assert rec.seqs == sorted(rec.seqs)
+        # burst=4 with an infinite-rate access link: eight flows' trains
+        # arrive at s at one timestamp and must still split by flow hash.
+        for access_bps, burst in ((100e6, 1), (float("inf"), 4)):
+            net, s, m1, m2, t = diamond()
+            tx = attach_host(net, s, "10.66.0.1", name="tx", rate_bps=access_bps)
+            rx = attach_host(net, t, "10.66.0.2", name="rx")
+            converge(net, ecmp=True)
+            sink = FlowSink(net.sim).attach(rx)
+            sources = []
+            for i in range(8):
+                src = CbrSource(net.sim, tx.send, f"f{i}", "10.66.0.1",
+                                "10.66.0.2", payload_bytes=200, rate_bps=0.5e6,
+                                src_port=1000 + i, dst_port=80, burst=burst)
+                src.start(0.0, stop_at=1.0)
+                sources.append(src)
+            net.run(until=2.0)
+            # Both branches carried traffic.
+            assert m1.stats.rx_packets > 0
+            assert m2.stats.rx_packets > 0
+            # Every flow fully delivered in order (single path per flow).
+            for i, src in enumerate(sources):
+                rec = sink.record(f"f{i}")
+                assert rec.count == src.sent
+                assert rec.seqs == sorted(rec.seqs)
 
     def test_aggregate_capacity_doubles(self):
         """With ECMP, many flows exceed one branch's capacity without loss."""

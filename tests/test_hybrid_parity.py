@@ -2,7 +2,7 @@
 
 Same spirit as the vector ≡ scalar property suites: the hybrid traffic
 plane is a performance optimization, so seeded experiments must agree
-with pure-packet runs within documented tolerances (ARCHITECTURE §12).
+with pure-packet runs within documented tolerances (ARCHITECTURE §11).
 
 Where the filler expands before every congested hop (e2, e5), the
 expander's virtual creation clock reproduces the CBR schedule exactly

@@ -170,7 +170,7 @@ def test_manifest_records_obs_runtime_flags_and_slo_summary():
     manifest = session.manifest()
     assert validate_manifest(manifest) == []
     flags = manifest["obs_runtime"]
-    assert set(flags) == {"vector_mode", "packet_counters", "slo", "spans"}
+    assert set(flags) == {"packet_counters", "slo", "spans"}
     assert flags["slo"] is True and flags["spans"] is False
     assert manifest["slo"]["delivered"] > 0
     assert manifest["spans"] is None

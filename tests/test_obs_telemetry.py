@@ -143,6 +143,16 @@ class TestSchemaRejections:
         m["schema"] = "bogus/v9"
         assert any("schema" in e for e in validate_manifest(m))
 
+    def test_v1_document_refused(self):
+        # A v1 manifest carried obs_runtime.vector_mode; it is refused for
+        # its schema id first, before any key-set complaint.
+        net, tel = vpn_run()
+        m = tel.manifest()
+        m["schema"] = "repro.telemetry/v1"
+        m["obs_runtime"]["vector_mode"] = True
+        errs = validate_manifest(m)
+        assert errs and errs[0].startswith("$: schema must be")
+
     def test_unknown_kind(self):
         assert any("kind" in e
                    for e in validate_manifest({"schema": SCHEMA_ID, "kind": "x"}))

@@ -7,11 +7,15 @@ from repro.net.address import IPv4Address
 from repro.net.packet import (
     IPV4_HEADER_BYTES,
     MPLS_SHIM_BYTES,
+    POOL,
     IPHeader,
     MplsEntry,
     Packet,
     PacketError,
+    PacketPool,
 )
+from repro.obs import runtime
+from repro.topology import Network
 
 
 def mk(payload=100, dscp=0, ttl=64):
@@ -167,3 +171,84 @@ class TestEncapsulation:
         c = h.copy()
         c.dscp = 20
         assert h.dscp == 10
+
+
+# ----------------------------------------------------------------------
+# Pool recycling: a reused shell must not leak its previous life.
+# ----------------------------------------------------------------------
+
+
+def _dirty_packet() -> Packet:
+    pkt = Packet(
+        ip=IPHeader(IPv4Address.parse("10.9.0.1"),
+                    IPv4Address.parse("10.9.0.2"), dscp=46, ttl=3),
+        payload_bytes=500, flow=("old", 1), seq=7,
+    )
+    pkt.mpls_stack.append(MplsEntry(label=777, exp=5, ttl=31))
+    pkt.mpls_stack.append(MplsEntry(label=888, exp=1, ttl=31))
+    pkt.flow_hash_cache = 0xDEAD
+    pkt.encap_overhead = 57
+    pkt.encrypted = True
+    pkt.vc_id = 42
+    _ = pkt.wire_bytes  # memoize _wire
+    return pkt
+
+
+def test_pool_recycled_packet_is_clean() -> None:
+    pool = PacketPool(max_size=4)
+    dirty = _dirty_packet()
+    dirty.pooled = True
+    pool.release(dirty)
+    assert len(pool) == 1
+    # Release itself must already scrub retained-object state (the
+    # freelist must not pin headers/stacks while parked).
+    assert dirty.mpls_stack == [] and dirty.ip is None
+    assert dirty.flow_hash_cache is None and dirty._wire is None
+
+    ip = IPHeader(IPv4Address.parse("10.8.0.1"),
+                  IPv4Address.parse("10.8.0.2"), dscp=0, ttl=64)
+    fresh = pool.acquire(ip=ip, payload_bytes=64, flow=("new", 0), seq=0,
+                         created=1.0)
+    assert fresh is dirty  # recycled shell, not a new allocation
+    assert fresh.mpls_stack == []
+    assert fresh.flow_hash_cache is None
+    assert fresh.encap_overhead == 0
+    assert fresh.encrypted is False
+    assert fresh.vc_id is None
+    assert fresh.inner is None
+    assert fresh.ip.dscp == 0 and fresh.ip.ttl == 64
+    assert fresh.hops == 0
+    # wire_bytes recomputes from the new life, no stale memo
+    assert fresh.wire_bytes == 20 + 64
+
+
+def test_pool_counters_track_hits_misses_releases() -> None:
+    pool = PacketPool(max_size=2)
+    ip = IPHeader(IPv4Address.parse("10.8.0.1"),
+                  IPv4Address.parse("10.8.0.2"))
+    a = pool.acquire(ip=ip, payload_bytes=1, flow=None, seq=0, created=0.0)
+    assert (pool.hits, pool.misses, pool.releases) == (0, 1, 0)
+    pool.release(a)
+    assert pool.releases == 1
+    b = pool.acquire(ip=ip, payload_bytes=1, flow=None, seq=1, created=0.5)
+    assert b is a
+    assert (pool.hits, pool.misses) == (1, 1)
+
+
+def test_global_pool_exports_gauges() -> None:
+    from repro.obs.telemetry import Telemetry
+
+    runtime.reset()
+    try:
+        net = Network(seed=1)
+        net.add_router("r")
+        tel = Telemetry(net, profile=False)
+        snap = tel.scrape().snapshot()
+        for gauge in ("repro_pool_occupancy", "repro_pool_capacity",
+                      "repro_pool_hits", "repro_pool_misses",
+                      "repro_pool_releases"):
+            assert gauge in snap
+        (series,) = snap["repro_pool_capacity"]["series"]
+        assert series["value"] == POOL.max_size
+    finally:
+        runtime.reset()
