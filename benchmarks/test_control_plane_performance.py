@@ -21,13 +21,9 @@ pytest-benchmark stats, so the file also runs unchanged under
 ``--benchmark-disable``.
 """
 
-import json
-import os
-from pathlib import Path
 from time import perf_counter
 
-import pytest
-
+from harness import best_of_pair, record, require_floor
 from repro.experiments.e1_scalability import run_e1
 from repro.routing.reference import (
     clear_routes_reference,
@@ -38,62 +34,11 @@ from repro.routing.router import Router
 from repro.routing.spf import clear_routes, converge, reconverge
 from repro.topology import Network, build_backbone
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_control_plane.json"
-
 # The speedup floors the optimization must clear on the 12-node backbone.
 MIN_CONVERGE_SPEEDUP = 3.0
 MIN_RECONVERGE_SPEEDUP = 5.0
 # Single-site churn at N=500: delta distribution vs monolithic converge.
 MIN_CHURN_SPEEDUP = 5.0
-
-# On shared CI runners a GC pause or a noisy neighbour inside either
-# timing window can sink the ratio no matter how the rounds are arranged.
-# BENCH_PERF_NONBLOCKING=1 (set in the CI workflow) downgrades a missed
-# floor to xfail — the numbers are still measured, recorded, and uploaded
-# as an artifact — while local/acceptance runs stay strict.
-_SOFT_FLOORS = os.environ.get("BENCH_PERF_NONBLOCKING") == "1"
-
-
-def _require_floor(speedup: float, floor: float, msg: str) -> None:
-    if speedup >= floor:
-        return
-    if _SOFT_FLOORS:
-        pytest.xfail(msg)
-    pytest.fail(msg)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark's results into BENCH_control_plane.json."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _best_of_pair(fn_new, fn_ref, rounds: int) -> tuple[float, float]:
-    """Best-of-``rounds`` wall clock for both sides.
-
-    Rounds are interleaved and the within-round order alternates, so slow
-    drift (thermal throttling, background load) lands on both
-    implementations instead of biasing whichever side happened to run in
-    the noisy window.
-    """
-    best_new = best_ref = float("inf")
-    for i in range(rounds):
-        order = (fn_new, fn_ref) if i % 2 == 0 else (fn_ref, fn_new)
-        for fn in order:
-            t0 = perf_counter()
-            fn()
-            dt = perf_counter() - t0
-            if fn is fn_new:
-                best_new = min(best_new, dt)
-            else:
-                best_ref = min(best_ref, dt)
-    return best_new, best_ref
 
 
 def _backbone() -> Network:
@@ -124,15 +69,15 @@ def test_full_converge_speedup():
             clear_routes_reference(r)
         converge_reference(ref)
 
-    t_new, t_ref = _best_of_pair(run_new, run_ref, rounds=7)
+    t_new, t_ref = best_of_pair(run_new, run_ref, rounds=7)
     speedup = t_ref / t_new
-    _record("converge_backbone", {
+    record("control_plane", "converge_backbone", {
         "new_s": t_new,
         "reference_s": t_ref,
         "speedup": speedup,
         "min_required": MIN_CONVERGE_SPEEDUP,
     })
-    _require_floor(speedup, MIN_CONVERGE_SPEEDUP, (
+    require_floor(speedup, MIN_CONVERGE_SPEEDUP, (
         f"full converge speedup {speedup:.2f}x < {MIN_CONVERGE_SPEEDUP}x "
         f"(new {t_new * 1e3:.3f} ms vs reference {t_ref * 1e3:.3f} ms)"
     ))
@@ -158,15 +103,15 @@ def test_single_link_reconverge_speedup():
         dl_ref.set_up(True)
         reconverge_reference(ref)
 
-    t_new, t_ref = _best_of_pair(flap_new, flap_ref, rounds=7)
+    t_new, t_ref = best_of_pair(flap_new, flap_ref, rounds=7)
     speedup = t_ref / t_new
-    _record("reconverge_single_link", {
+    record("control_plane", "reconverge_single_link", {
         "new_s": t_new,
         "reference_s": t_ref,
         "speedup": speedup,
         "min_required": MIN_RECONVERGE_SPEEDUP,
     })
-    _require_floor(speedup, MIN_RECONVERGE_SPEEDUP, (
+    require_floor(speedup, MIN_RECONVERGE_SPEEDUP, (
         f"single-link reconverge speedup {speedup:.2f}x < "
         f"{MIN_RECONVERGE_SPEEDUP}x "
         f"(new {t_new * 1e3:.3f} ms vs reference {t_ref * 1e3:.3f} ms)"
@@ -203,16 +148,16 @@ def test_single_site_churn_speedup():
     def churn_ref():
         ref_engine.converge()
 
-    t_new, t_ref = _best_of_pair(churn_new, churn_ref, rounds=5)
+    t_new, t_ref = best_of_pair(churn_new, churn_ref, rounds=5)
     speedup = t_ref / t_new
-    _record("bgp_single_site_churn", {
+    record("control_plane", "bgp_single_site_churn", {
         "sites": n_sites,
         "new_s": t_new,
         "reference_s": t_ref,
         "speedup": speedup,
         "min_required": MIN_CHURN_SPEEDUP,
     })
-    _require_floor(speedup, MIN_CHURN_SPEEDUP, (
+    require_floor(speedup, MIN_CHURN_SPEEDUP, (
         f"single-site churn speedup {speedup:.2f}x < {MIN_CHURN_SPEEDUP}x "
         f"(new {t_new * 1e3:.3f} ms vs reference {t_ref * 1e3:.3f} ms)"
     ))
@@ -242,7 +187,7 @@ def test_churn_storm_suite():
     # stays silent — that silence is the paper's stability argument.
     assert by_storm["link-flap"]["updates"] == 0
     assert by_storm["link-flap"]["spf_installs"] > 0
-    _record("bgp_churn_storms", {
+    record("control_plane", "bgp_churn_storms", {
         "sites": n_sites,
         "total_s": total_s,
         "floor_enforced": False,
@@ -264,7 +209,7 @@ def test_e1_paper_scale():
         assert row["overlay_VCs"] == row["N(N-1)/2"]
         # Core routers still hold zero per-VPN state at paper scale.
         assert row["mpls_core_vpn_state"] == 0
-    _record("e1_paper_scale", {
+    record("control_plane", "e1_paper_scale", {
         "total_s": total_s,
         "rows": [
             {

@@ -25,19 +25,13 @@ Timings use ``time.perf_counter`` (best of interleaved rounds), so the
 file runs unchanged under ``--benchmark-disable``.
 """
 
-import json
-import os
-from pathlib import Path
 from time import perf_counter
 
-import pytest
-
+from harness import best_of_pair, record, require_floor, usable_cpus
 from repro.obs import runtime
 from repro.sim.reference import reference_stack
 from repro.sweep import run_sweep, smoke_grid
 from repro.sweep.grids import e1_grid
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 # ISSUE 4 acceptance: ≥2× end-to-end on at least one full experiment
 # scenario (single process), ≥3× sweep scaling at 4 workers.  The e12a
@@ -51,46 +45,6 @@ MIN_E2E_SPEEDUP = 2.0
 MIN_E12A_SPEEDUP = 2.1
 MIN_SWEEP_SCALING = 3.0
 SWEEP_WORKERS = 4
-
-_SOFT_FLOORS = os.environ.get("BENCH_PERF_NONBLOCKING") == "1"
-
-
-def _require_floor(speedup: float, floor: float, msg: str, soft: bool = False) -> None:
-    if speedup >= floor:
-        return
-    if _SOFT_FLOORS or soft:
-        pytest.xfail(msg)
-    pytest.fail(msg)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark's results into BENCH_engine.json."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _best_of_pair(fn_new, fn_ref, rounds: int) -> tuple[float, float]:
-    """Best-of-``rounds`` wall clock for both sides, interleaved so slow
-    drift (thermal throttling, background load) lands on both."""
-    best_new = best_ref = float("inf")
-    for i in range(rounds):
-        order = (fn_new, fn_ref) if i % 2 == 0 else (fn_ref, fn_new)
-        for fn in order:
-            t0 = perf_counter()
-            fn()
-            dt = perf_counter() - t0
-            if fn is fn_new:
-                best_new = min(best_new, dt)
-            else:
-                best_ref = min(best_ref, dt)
-    return best_new, best_ref
-
 
 def _e2e_case(section: str, run_once, floor: float = MIN_E2E_SPEEDUP) -> None:
     """Whole experiment, fast path (counters off, as a sweep runs it)
@@ -107,15 +61,15 @@ def _e2e_case(section: str, run_once, floor: float = MIN_E2E_SPEEDUP) -> None:
         with reference_stack():
             run_once()
 
-    t_new, t_ref = _best_of_pair(run_new, run_ref, rounds=4)
+    t_new, t_ref = best_of_pair(run_new, run_ref, rounds=4)
     speedup = t_ref / t_new
-    _record(section, {
+    record("engine", section, {
         "new_s": t_new,
         "reference_s": t_ref,
         "speedup": speedup,
         "min_required": floor,
     })
-    _require_floor(speedup, floor, (
+    require_floor(speedup, floor, (
         f"{section} end-to-end speedup {speedup:.2f}x < {floor}x "
         f"(new {t_new:.3f} s vs reference {t_ref:.3f} s)"
     ))
@@ -123,7 +77,9 @@ def _e2e_case(section: str, run_once, floor: float = MIN_E2E_SPEEDUP) -> None:
 
 def test_e2e_elastic_aqm_speedup():
     """E12a — elastic TCP-like traffic through RED AQM.  The heaviest
-    packet-churn scenario in the suite: the acceptance case."""
+    packet-churn scenario in the suite: the acceptance case.  SLO and
+    span tracing stay at their default (off), so the same floor bounds
+    the disabled-mode cost of the observability hooks."""
     from repro.experiments.e12_elastic import run_e12a_aqm
 
     _e2e_case("e2e_e12a_aqm", lambda: run_e12a_aqm(),
@@ -155,9 +111,9 @@ def test_counters_switch_is_off_path():
     def run_on():
         run_config("mpls-diffserv", measure_s=4.0)
 
-    t_off, t_on = _best_of_pair(run_off, run_on, rounds=4)
+    t_off, t_on = best_of_pair(run_off, run_on, rounds=4)
     ratio = t_on / t_off
-    _record("counters_off_path", {
+    record("engine", "counters_off_path", {
         "counters_on_s": t_on,
         "counters_off_s": t_off,
         "on_over_off": ratio,
@@ -165,7 +121,7 @@ def test_counters_switch_is_off_path():
     })
     # Equality would already prove the guard free; in practice skipping
     # the bookkeeping wins a few percent.  3% tolerance for clock noise.
-    _require_floor(ratio, 0.97, (
+    require_floor(ratio, 0.97, (
         f"counters-off path slower than counters-on: {ratio:.3f}x "
         f"(off {t_off:.3f} s vs on {t_on:.3f} s)"
     ))
@@ -178,8 +134,7 @@ def test_sweep_scaling_four_workers():
     time-slice one CPU and no scheduler can deliver 3×.  The factor is
     measured and recorded regardless, but the floor is enforced
     core-aware (soft on small boxes)."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else (os.cpu_count() or 1)
+    cores = usable_cpus()
     # The paper's §2.1 scaling grid: overlay vs MPLS provisioning at
     # four site counts — 8 independent, seconds-scale tasks.
     grid = e1_grid(sites=(10, 50, 100, 200), reps=1)
@@ -193,7 +148,7 @@ def test_sweep_scaling_four_workers():
 
     assert solo["rows"] == multi["rows"]  # scaling must not cost determinism
     scaling = t_solo / t_multi
-    _record("sweep_scaling", {
+    record("engine", "sweep_scaling", {
         "tasks": len(grid),
         "workers": SWEEP_WORKERS,
         "cores_available": cores,
@@ -203,7 +158,7 @@ def test_sweep_scaling_four_workers():
         "min_required": MIN_SWEEP_SCALING,
         "floor_enforced": cores >= SWEEP_WORKERS,
     })
-    _require_floor(scaling, MIN_SWEEP_SCALING, (
+    require_floor(scaling, MIN_SWEEP_SCALING, (
         f"sweep scaling {scaling:.2f}x < {MIN_SWEEP_SCALING}x at "
         f"{SWEEP_WORKERS} workers ({cores} core(s) available)"
     ), soft=cores < SWEEP_WORKERS)
@@ -215,5 +170,5 @@ def test_smoke_grid_stays_fast():
     report = run_sweep(smoke_grid(), workers=2)
     wall = perf_counter() - t0
     assert not report["failed"]
-    _record("smoke_grid", {"tasks": report["tasks"], "wall_s": wall})
+    record("engine", "smoke_grid", {"tasks": report["tasks"], "wall_s": wall})
     assert wall < 60.0

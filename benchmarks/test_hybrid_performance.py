@@ -21,16 +21,12 @@ under ``--benchmark-disable``.  ``BENCH_PERF_NONBLOCKING=1`` downgrades
 floor misses to xfail (same contract as the other benchmark files).
 """
 
-import json
-import os
-from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+from harness import record, require_floor
 from repro.experiments.hybrid import FLOW_RATE_BPS, run_scale
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_hybrid.json"
 
 #: ISSUE 8 acceptance: hybrid must beat pure-packet end-to-end by ≥10×
 #: at the 100k-flow point.  Measured headroom is far larger (the hybrid
@@ -40,35 +36,12 @@ MIN_HYBRID_SPEEDUP = 10.0
 N_FLOWS_ACCEPTANCE = 100_000
 N_FLOWS_SMOKE = 1_000_000
 
-_SOFT_FLOORS = os.environ.get("BENCH_PERF_NONBLOCKING") == "1"
-
-
-def _require_floor(speedup: float, floor: float, msg: str) -> None:
-    if speedup >= floor:
-        return
-    if _SOFT_FLOORS:
-        pytest.xfail(msg)
-    pytest.fail(msg)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark's results into BENCH_hybrid.json."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def test_hybrid_speedup_100k_flows():
     """The acceptance case: 100k flows, pure vs hybrid, ≥10× end-to-end."""
     hyb = run_scale(mode="hybrid", n_flows=N_FLOWS_ACCEPTANCE, measure_s=0.4)
     pure = run_scale(mode="pure", n_flows=N_FLOWS_ACCEPTANCE, measure_s=0.4)
     speedup = pure["wall_s"] / hyb["wall_s"]
-    _record("e2_100k_flows", {
+    record("hybrid", "e2_100k_flows", {
         "n_flows": N_FLOWS_ACCEPTANCE,
         "offered_bps": N_FLOWS_ACCEPTANCE * FLOW_RATE_BPS,
         "pure_wall_s": pure["wall_s"],
@@ -85,7 +58,7 @@ def test_hybrid_speedup_100k_flows():
     assert hyb["delivered_pkts"] == pytest.approx(
         pure["delivered_pkts"], rel=0.01
     )
-    _require_floor(speedup, MIN_HYBRID_SPEEDUP, (
+    require_floor(speedup, MIN_HYBRID_SPEEDUP, (
         f"hybrid speedup {speedup:.1f}x < {MIN_HYBRID_SPEEDUP}x at "
         f"{N_FLOWS_ACCEPTANCE} flows (pure {pure['wall_s']:.2f} s vs "
         f"hybrid {hyb['wall_s']:.2f} s)"
@@ -107,7 +80,7 @@ def test_million_flow_smoke_hybrid_only():
         mode="hybrid", n_flows=N_FLOWS_SMOKE, n_aggregates=20, measure_s=0.2
     )
     wall = perf_counter() - t0
-    _record("million_flow_smoke", {
+    record("hybrid", "million_flow_smoke", {
         "n_flows": N_FLOWS_SMOKE,
         "n_aggregates": 20,
         "offered_bps": N_FLOWS_SMOKE * FLOW_RATE_BPS,

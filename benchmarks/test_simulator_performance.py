@@ -11,34 +11,18 @@ baseline) to ``BENCH_forwarding.json`` at the repo root, which CI uploads
 as a workflow artifact so forwarding throughput is tracked across runs.
 """
 
-import json
-from pathlib import Path
-
+from harness import record
 from repro.routing.spf import converge
 from repro.sim.engine import Simulator
 from repro.topology import Network, attach_host, build_line
 from repro.traffic.generators import CbrSource
 from repro.traffic.sink import FlowSink
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_forwarding.json"
-
 # Mean wall-clock of test_packet_forwarding_throughput on the commit before
 # the unified ForwardingPipeline (per-hop closures, no flow/label caches),
 # measured on the CI reference machine.  Kept so the emitted speedup keeps
 # meaning as the pipeline evolves.
 PRE_PIPELINE_FORWARDING_MEAN_S = 1.825
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark's results into BENCH_forwarding.json."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _mean_s(benchmark) -> float | None:
@@ -70,7 +54,7 @@ def test_kernel_event_throughput(benchmark):
     assert events == 50_000
     mean_s = _mean_s(benchmark)
     if mean_s is not None:
-        _record("kernel", {
+        record("forwarding", "kernel", {
             "events": events,
             "mean_s": mean_s,
             "events_per_sec": events / mean_s,
@@ -98,7 +82,7 @@ def test_packet_forwarding_throughput(benchmark):
     mean_s = _mean_s(benchmark)
     hops = 7  # tx + 5 routers + rx handle the packet once each
     if mean_s is not None:
-        _record("forwarding", {
+        record("forwarding", "forwarding", {
             "packets": received,
             "hops_per_packet": hops,
             "mean_s": mean_s,

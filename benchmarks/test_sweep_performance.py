@@ -26,51 +26,21 @@ a 16-task grid is its own averaging), so the file runs unchanged under
 ``--benchmark-disable``.
 """
 
-import json
-import os
-from pathlib import Path
 from time import perf_counter
 
-import pytest
-
+from harness import record, require_floor, usable_cpus
 from repro.sweep import run_sweep
 from repro.sweep.grids import e1_grid
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 MIN_WARM_SPEEDUP = 3.0
 SWEEP_WORKERS = 4
 E1_SITES = 200
 E1_REPS = 8
 
-_SOFT_FLOORS = os.environ.get("BENCH_PERF_NONBLOCKING") == "1"
-
-
-def _require_floor(speedup: float, floor: float, msg: str) -> None:
-    if speedup >= floor:
-        return
-    if _SOFT_FLOORS:
-        pytest.xfail(msg)
-    pytest.fail(msg)
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark's results into BENCH_sweep.json."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except ValueError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def test_warm_start_speedup_e1_grid():
     """Acceptance: warm-start ≥3× faster than cold on the E1-scale grid
     at 4 workers, with byte-identical deterministic rows."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else (os.cpu_count() or 1)
+    cores = usable_cpus()
     grid = e1_grid(sites=(E1_SITES,), reps=E1_REPS)
 
     t0 = perf_counter()
@@ -87,7 +57,7 @@ def test_warm_start_speedup_e1_grid():
 
     speedup = t_cold / t_warm
     warm_info = warm["timing"]["warm_start"]
-    _record("warm_start_e1", {
+    record("sweep", "warm_start_e1", {
         "tasks": len(grid),
         "sites": E1_SITES,
         "workers": SWEEP_WORKERS,
@@ -100,7 +70,7 @@ def test_warm_start_speedup_e1_grid():
         "min_required": MIN_WARM_SPEEDUP,
         "floor_enforced": True,
     })
-    _require_floor(speedup, MIN_WARM_SPEEDUP, (
+    require_floor(speedup, MIN_WARM_SPEEDUP, (
         f"warm-start sweep speedup {speedup:.2f}x < {MIN_WARM_SPEEDUP}x "
         f"(cold {t_cold:.2f} s vs warm {t_warm:.2f} s, "
         f"{len(grid)} tasks, {cores} core(s))"
@@ -134,4 +104,4 @@ def test_snapshot_latency_and_size_recorded():
             "save_s": t_save,
             "restore_s": t_restore,
         }
-    _record("snapshot_roundtrip", payload)
+    record("sweep", "snapshot_roundtrip", payload)

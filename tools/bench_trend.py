@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
 """Benchmark trend gate: diff fresh BENCH_*.json against committed baselines.
 
-The perf suites under ``benchmarks/`` emit machine-readable result files
-(``BENCH_forwarding.json``, ``BENCH_engine.json``, ...).  Each section
-carries the measured ratio *and* the floor the suite asserted against,
-so a checked-in copy doubles as the trend baseline: this tool reloads
-both, prints the per-section delta, and fails when a freshly measured
-ratio dropped below its recorded floor — the same contract the suites
-enforce locally, replayed against the committed history so a silent
-floor edit or a stale baseline shows up in review.
+The perf suites under ``benchmarks/`` write machine-readable result files
+(``BENCH_forwarding.json``, ``BENCH_engine.json``, ...) to the repo
+root.  Each section carries the measured ratio *and* the floor the suite
+asserted against, so a committed copy in ``benchmarks/baselines/``
+doubles as the trend baseline: for every baseline this tool reloads the
+fresh file of the same name from the current directory, prints the
+per-section delta, and fails when a freshly measured ratio dropped below
+its recorded floor — the same contract the suites enforce locally,
+replayed against the committed history so a silent floor edit or a
+stale baseline shows up in review.  A baseline whose fresh file is
+absent is reported ``MISSING`` and fails like a floor regression.
 
-Usage::
+Usage (from the repo root, after the suites ran)::
 
     python tools/bench_trend.py [--baseline-dir benchmarks/baselines]
                                 [--out bench-trend.txt] [--nonblocking]
-                                BENCH_forwarding.json BENCH_engine.json
 
 Rules, per section of each fresh file:
 
-* the measured value is the first key present among ``speedup_vs_scalar``,
-  ``speedup``, ``on_over_off``, ``scaling`` (all "higher is better");
+* the measured value is the first key present among ``speedup``,
+  ``on_over_off``, ``scaling`` (all "higher is better");
 * the floor is ``floor`` or ``min_required``; a section carrying
   ``"floor_enforced": false`` (e.g. single-core sweep scaling) is
   reported but never fails the gate;
@@ -36,7 +38,8 @@ Rules, per section of each fresh file:
 
 ``--nonblocking`` or ``BENCH_PERF_NONBLOCKING=1`` in the environment
 downgrades every floor failure to a report line with exit status 0,
-matching the perf suites' behaviour on shared CI runners.  An exact-count
+matching the perf suites' behaviour on shared CI runners (any other
+value of the variable is strict there too).  An exact-count
 mismatch still fails: counts carry no noise.
 """
 
@@ -48,7 +51,7 @@ import os
 import sys
 from pathlib import Path
 
-_RATIO_KEYS = ("speedup_vs_scalar", "speedup", "on_over_off", "scaling")
+_RATIO_KEYS = ("speedup", "on_over_off", "scaling")
 
 # section -> (row id key, exact count keys)
 EXACT_ROWS = {
@@ -102,13 +105,7 @@ def diff_file(
     regressions: list[str] = []
     mismatches: list[str] = []
     fresh = json.loads(fresh_path.read_text())
-    baseline: dict = {}
-    if baseline_path.is_file():
-        baseline = json.loads(baseline_path.read_text())
-    else:
-        lines.append(f"{fresh_path.name}: no baseline at {baseline_path} "
-                     "(first run?) — floor check only")
-
+    baseline = json.loads(baseline_path.read_text())
     lines.append(f"== {fresh_path.name} ==")
     for name in sorted(fresh):
         section = fresh[name]
@@ -157,8 +154,6 @@ def diff_file(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("fresh", nargs="+", type=Path,
-                        help="freshly emitted BENCH_*.json files")
     parser.add_argument("--baseline-dir", type=Path,
                         default=Path("benchmarks/baselines"),
                         help="directory holding the committed baselines")
@@ -169,20 +164,22 @@ def main(argv: list[str] | None = None) -> int:
                              "(implied by BENCH_PERF_NONBLOCKING=1)")
     args = parser.parse_args(argv)
 
-    nonblocking = args.nonblocking or bool(
-        int(os.environ.get("BENCH_PERF_NONBLOCKING", "0") or "0")
-    )
+    baselines = sorted(args.baseline_dir.glob("BENCH_*.json"))
+    if not baselines:
+        parser.error(f"no BENCH_*.json baselines in {args.baseline_dir}")
+    nonblocking = args.nonblocking or os.environ.get("BENCH_PERF_NONBLOCKING") == "1"
 
     lines: list[str] = []
     regressions: list[str] = []
     mismatches: list[str] = []
     missing: list[str] = []
-    for fresh_path in args.fresh:
+    for baseline_path in baselines:
+        fresh_path = Path(baseline_path.name)
         if not fresh_path.is_file():
             missing.append(str(fresh_path))
             lines.append(f"{fresh_path}: MISSING (benchmark suite not run?)")
             continue
-        floors, exact = diff_file(fresh_path, args.baseline_dir / fresh_path.name, lines)
+        floors, exact = diff_file(fresh_path, baseline_path, lines)
         regressions.extend(floors)
         mismatches.extend(exact)
 
